@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Dims, OperatorTuple, random_density
+from .core import DEFAULT_TOL, Dims, OperatorTuple, check_tol, random_density
 from .diagram import render_svg
 from .equivalence import decide_lu_equiv, lu_degree_bound, slocc_degree_bound
 from .errors import UnsupportedSizeError
@@ -31,9 +31,9 @@ def _default_tol():
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        return check_tol(raw, "TRACEINV_TOL")
     except ValueError:
-        raise ValueError(f"TRACEINV_TOL is not a number: {raw!r}") from None
+        raise ValueError(f"TRACEINV_TOL must be a finite number >= 0, got {raw!r}") from None
 
 
 def format_value(z) -> str:
@@ -249,6 +249,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "tol", False) is None:
             args.tol = _default_tol()
+        elif hasattr(args, "tol"):
+            args.tol = check_tol(args.tol, "--tol")
         return args.func(args)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,12 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
 #: Default absolute tolerance for numeric certificates.
 DEFAULT_TOL = 1e-10
+
+
+def check_tol(tol, name="tol") -> float:
+    """Return tol as a float if it is finite and >= 0, else raise ValueError.
+
+    A NaN or infinite tolerance makes every |a - b| > tol comparison false,
+    so two clearly different values would pass as equal; a negative one
+    makes every comparison true.
+    """
+    value = float(tol)
+    if not (isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
+    return value
+
 
 #: Condition-number cap used when sampling random invertible test elements.
 DEFAULT_MAX_COND = 50.0

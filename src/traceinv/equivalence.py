@@ -17,7 +17,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .core import DEFAULT_TOL, OperatorTuple, as_dims, is_normal, partial_trace
+from .core import DEFAULT_TOL, OperatorTuple, as_dims, check_tol, is_normal, partial_trace
 from .evaluate import eval_contract
 from .perms import TraceMonomial, enumerate_monomials, generator_girth_cap, identity_perm
 
@@ -111,8 +111,10 @@ def decide_lu_equiv(
 
     Returns a separated verdict at the first monomial (in enumeration
     order) where |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
-    indistinguishable-up-to verdict.  Tuples must share dims and length.
+    indistinguishable-up-to verdict.  Tuples must share dims and length, and
+    tol must be finite and >= 0.
     """
+    tol = check_tol(tol)
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims.sizes} vs {b.dims.sizes}")
     if a.m != b.m:
@@ -163,6 +165,7 @@ def renyi_entropy(rho, dims, trace_out, q, tol=DEFAULT_TOL) -> float:
     invariant); rho must be a density matrix within tol.
     """
     dims = as_dims(dims)
+    tol = check_tol(tol)
     if not (isinstance(q, (int, np.integer)) and q >= 2):
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     trace_out = sorted(set(int(i) for i in trace_out))

@@ -32,6 +32,9 @@ REFERENCE_ENVELOPE = 4096
 #: eval_contract works on the full product space; cap its dimension.
 CONTRACT_MAX_DIM = 64
 
+#: eval_contract names n * ell bonds; numpy's einsum has 52 subscript letters.
+EINSUM_MAX_SUBSCRIPTS = 52
+
 
 def _check_compat(mon: TraceMonomial, ops: OperatorTuple):
     if mon.n_rows != ops.dims.n:
@@ -91,6 +94,11 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     if dims.total > CONTRACT_MAX_DIM:
         raise UnsupportedSizeError(
             f"contraction engine supports total dimension <= {CONTRACT_MAX_DIM}, got {dims.total}"
+        )
+    if dims.n * ell > EINSUM_MAX_SUBSCRIPTS:
+        raise UnsupportedSizeError(
+            f"contraction engine supports n * ell <= {EINSUM_MAX_SUBSCRIPTS} einsum subscripts, "
+            f"got {dims.n} * {ell}"
         )
     inv = [invert_perm(p) for p in mon.perms]
     operands = []

@@ -165,9 +165,13 @@ class TraceMonomial:
         return f"{labels} {format_perm_tuple(self.perms)}"
 
 
+def _max_cycle(p):
+    return max(len(c) for c in cycle_decomposition(p))
+
+
 def girth_of(mon: TraceMonomial):
     """Per-row maximum cycle length."""
-    return tuple(max(len(c) for c in cycle_decomposition(p)) for p in mon.perms)
+    return tuple(_max_cycle(p) for p in mon.perms)
 
 
 def generator_girth_cap(dims):
@@ -190,21 +194,17 @@ def network_edges(mon: TraceMonomial):
 
 
 def is_connected(mon: TraceMonomial) -> bool:
-    ell = mon.n_boxes
-    if ell == 1:
-        return True
-    adj = {j: set() for j in range(ell)}
-    for a, b in network_edges(mon):
-        adj[a].add(b)
-        adj[b].add(a)
+    # the rows generate a permutation group, so following images alone
+    # sweeps out each connected component
     seen = {0}
     stack = [0]
     while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == ell
+        j = stack.pop()
+        for p in mon.perms:
+            if p[j] not in seen:
+                seen.add(p[j])
+                stack.append(p[j])
+    return len(seen) == mon.n_boxes
 
 
 def _relabel(labels, perms, tau, tau_inv):
@@ -233,6 +233,51 @@ def canonical_form(mon: TraceMonomial) -> TraceMonomial:
     return TraceMonomial(labels=best[0], perms=best[1])
 
 
+def _label_stabilizer(labels):
+    """Relabelings that fix a sorted label vector, as (tau, tau_inv) pairs.
+
+    This is the Young subgroup that permutes each block of equal labels
+    within itself.
+    """
+    blocks = [
+        tuple(j for j, x in enumerate(labels) if x == lab) for lab in sorted(set(labels))
+    ]
+    taus = (
+        tuple(j for block in choice for j in block)
+        for choice in itertools.product(*(itertools.permutations(b) for b in blocks))
+    )
+    return [(tau, invert_perm(tau)) for tau in taus]
+
+
+def _orbit_minima(rows, group):
+    """Yield the lex-min member of each orbit of ``group`` on row tuples.
+
+    ``rows[i]`` lists the candidates for row i in lex order, closed under
+    conjugation; ``group`` acts on a tuple by conjugating every row.  Row 0
+    is kept when it is the least member of its conjugacy class under the
+    group, and the remaining rows are then reduced under the stabilizer of
+    row 0 (its centralizer in the group), and so on down the rows.  The
+    minima come out in lex order.
+    """
+    if len(group) == 1 or not rows:
+        yield from itertools.product(*rows)
+        return
+    seen = set()
+    for r in rows[0]:
+        # rows[0] is visited in lex order, so the first member of each
+        # conjugacy class met is its minimum
+        if r in seen:
+            continue
+        stabilizer = []
+        for tau, tau_inv in group:
+            c = tuple(tau[r[k]] for k in tau_inv)
+            seen.add(c)
+            if c == r:
+                stabilizer.append((tau, tau_inv))
+        for rest in _orbit_minima(rows[1:], stabilizer):
+            yield (r, *rest)
+
+
 def enumerate_monomials(
     n,
     m,
@@ -244,12 +289,24 @@ def enumerate_monomials(
     """List trace monomials for n subsystem rows and m operator labels.
 
     With ``canonical=True`` (default) one representative per relabeling class
-    is returned, in canonical form; with ``canonical=False`` the raw product
+    is returned: the lexicographically least member, which is what
+    ``canonical_form`` returns.  With ``canonical=False`` the raw product
     listing is returned (every (P, sigma) pair, no dedup).  ``girth_cap`` is
     an optional per-row cap on the maximum cycle length; ``connected_only``
     keeps only monomials whose contraction network is connected (the rest are
-    products of smaller ones).  Output is sorted by degree then lexicographic
-    key, so it is deterministic.
+    products of smaller ones).  Output is sorted by degree, then by
+    ``(labels, perms)``, so it is deterministic.
+
+    The canonical listing is generated in that order, without a dedup set
+    over the whole degree.  The least label vector of a class is its sorted
+    one, so labels range over sorted vectors only.  Row 0 then ranges over
+    the least member of each conjugacy class under the relabelings that fix
+    the labels, and each later row over the least member of each class under
+    what still fixes the rows before it.  Girth is a conjugation invariant,
+    so the cap prunes each row's candidates before any of this.
+
+    The budget bounds the raw (P, sigma) count, sum over ell of
+    (ell!)^n * m^ell, for both listings.
     """
     if n < 1 or m < 1 or max_degree < 1:
         raise ValueError("n, m, max_degree must all be >= 1")
@@ -270,26 +327,22 @@ def enumerate_monomials(
     out = []
     for ell in range(1, max_degree + 1):
         perms_ell = list(itertools.permutations(range(ell)))
-        taus = _tau_pairs(ell) if canonical else None
-        seen = set()
-        block = []
-        for P in itertools.product(range(m), repeat=ell):
-            for sigma in itertools.product(perms_ell, repeat=n):
-                key = (P, sigma)
-                if canonical:
-                    if key in seen:
-                        continue
-                    orbit = {_relabel(P, sigma, tau, tau_inv) for tau, tau_inv in taus}
-                    seen |= orbit
-                    key = min(orbit)
-                mon = TraceMonomial(labels=key[0], perms=key[1])
-                if girth_cap is not None and any(
-                    g > c for g, c in zip(girth_of(mon), girth_cap)
-                ):
-                    continue
+        rows = [
+            perms_ell if cap is None else [p for p in perms_ell if _max_cycle(p) <= cap]
+            for cap in girth_cap or (None,) * n
+        ]
+        if canonical:
+            blocks = (
+                (labels, _label_stabilizer(labels))
+                for labels in itertools.combinations_with_replacement(range(m), ell)
+            )
+        else:
+            trivial = [(identity_perm(ell),) * 2]
+            blocks = ((labels, trivial) for labels in itertools.product(range(m), repeat=ell))
+        for labels, group in blocks:
+            for perms in _orbit_minima(rows, group):
+                mon = TraceMonomial(labels=labels, perms=perms)
                 if connected_only and not is_connected(mon):
                     continue
-                block.append(mon)
-        block.sort(key=lambda mo: (mo.labels, mo.perms))
-        out.extend(block)
+                out.append(mon)
     return out

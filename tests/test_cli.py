@@ -23,6 +23,16 @@ def diag_pair_files(tmp_path):
     return str(a), str(b)
 
 
+def rank_one_vs_mixed_files(tmp_path):
+    """A pure (rank-1) and the maximally mixed (rank-4) two-qubit state."""
+    dims = Dims((2, 2))
+    a = tmp_path / "pure.json"
+    b = tmp_path / "mixed.json"
+    save_operator_tuple(a, OperatorTuple(dims, (np.diag([1.0, 0, 0, 0]).astype(complex),)))
+    save_operator_tuple(b, OperatorTuple(dims, (np.eye(4, dtype=complex) / 4,)))
+    return str(a), str(b)
+
+
 class TestFormatValue:
     def test_real(self):
         assert format_value(1.0) == "1.000000000000000"
@@ -71,6 +81,18 @@ class TestEval:
         code = main(["eval", "--state", state, "--labels", "1", "--perm", "(1 5);()"])
         assert code == 2
 
+    def test_einsum_subscript_envelope(self, tmp_path, capsys):
+        # ten rows of six boxes: more subscripts than einsum has
+        path = tmp_path / "thin.json"
+        save_operator_tuple(path, OperatorTuple(Dims((1,) * 9 + (2,)), (np.eye(2, dtype=complex),)))
+        argv = ["eval", "--state", str(path), "--labels", "1,1,1,1,1,1", "--perm", ";".join(["()"] * 10)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "subscripts" in captured.err
+        assert main(argv + ["--engine", "ref"]) == 0
+        assert capsys.readouterr().out.strip() == "64.000000000000000"
+
     def test_envelope_exit_code(self, tmp_path, capsys):
         dims = Dims((2, 2, 2))
         path = tmp_path / "big.json"
@@ -114,6 +136,28 @@ class TestCompare:
         a, b = diag_pair_files(tmp_path)
         monkeypatch.setenv("TRACEINV_TOL", "lots")
         assert main(["compare", "--a", a, "--b", b]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+    def test_env_tolerance_rejected(self, tmp_path, capsys, monkeypatch, bad):
+        # a NaN or infinite tolerance would call rank 1 and rank 4 alike
+        a, b = rank_one_vs_mixed_files(tmp_path)
+        monkeypatch.setenv("TRACEINV_TOL", bad)
+        assert main(["compare", "--a", a, "--b", b, "--max-degree", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TRACEINV_TOL" in captured.err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_explicit_tolerance_rejected(self, tmp_path, capsys, bad):
+        a, b = rank_one_vs_mixed_files(tmp_path)
+        assert main(["compare", "--a", a, "--b", b, "--max-degree", "4", f"--tol={bad}"]) == 2
+        assert main(["compare", "--a", a, "--b", a, "--max-degree", "2", f"--tol={bad}"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_zero_tolerance(self, tmp_path, capsys):
+        a, b = rank_one_vs_mixed_files(tmp_path)
+        assert main(["compare", "--a", a, "--b", a, "--max-degree", "2", "--tol", "0"]) == 0
+        assert main(["compare", "--a", a, "--b", b, "--max-degree", "2", "--tol", "0"]) == 1
 
     def test_explicit_tol_beats_env(self, tmp_path, capsys, monkeypatch):
         a, b = diag_pair_files(tmp_path)

@@ -153,6 +153,17 @@ class TestDecide:
         assert not decide_lu_equiv(a, b, max_degree=2, tol=1e-3).separated
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance(self, bad):
+        dims = Dims((2,))
+        a = OperatorTuple(dims, (np.diag([1.0, 0.0]).astype(complex),))
+        b = OperatorTuple(dims, (np.eye(2, dtype=complex) / 2,))
+        with pytest.raises(ValueError, match="tol"):
+            decide_lu_equiv(a, b, max_degree=2, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            decide_lu_equiv(a, a, max_degree=2, tol=bad)
+
+
 class TestRenyi:
     def test_bell(self):
         assert abs(renyi_entropy(bell_density(), Dims((2, 2)), {0}, 2) - np.log(2)) < 1e-10
@@ -181,6 +192,13 @@ class TestRenyi:
         mon = renyi_monomial(3, {1}, 3)
         assert mon.labels == (0, 0, 0)
         assert mon.perms == ((1, 2, 0), (0, 1, 2), (1, 2, 0))
+
+    def test_rejects_bad_tolerance(self):
+        # a NaN tolerance would wave a non-Hermitian input through every check
+        rho = bell_density()
+        rho[0, 1] += 0.5
+        with pytest.raises(ValueError):
+            renyi_entropy(rho, Dims((2, 2)), {0}, 2, tol=float("nan"))
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):

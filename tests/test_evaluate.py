@@ -196,6 +196,24 @@ class TestEnvelopes:
         with pytest.raises(UnsupportedSizeError):
             eval_contract(mon, ops)
 
+    def test_contract_subscript_envelope(self):
+        # ten rows of six boxes need 60 einsum subscripts; einsum has 52
+        dims = Dims((1,) * 9 + (2,))
+        ops = OperatorTuple(dims, (np.eye(2, dtype=complex),))
+        mon = TraceMonomial(labels=(0,) * 6, perms=(tuple(range(6)),) * 10)
+        assert eval_reference(mon, ops) == 64
+        with pytest.raises(UnsupportedSizeError):
+            eval_contract(mon, ops)
+
+    def test_contract_subscript_limit_reached(self):
+        # 13 rows of four boxes use exactly 52 subscripts
+        rng = np.random.default_rng(52)
+        dims = Dims((1,) * 12 + (2,))
+        ops = random_ops(rng, dims, 2)
+        mon = TraceMonomial(labels=(0, 1, 1, 0), perms=((1, 2, 3, 0),) * 12 + ((0, 2, 1, 3),))
+        a, b = eval_contract(mon, ops), eval_reference(mon, ops)
+        assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
 
 class TestFactorize:
     def test_disconnected_mixed_labels(self):

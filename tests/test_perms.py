@@ -1,3 +1,8 @@
+import functools
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -207,3 +212,120 @@ class TestEnumerate:
         a = enumerate_monomials(2, 2, 3, connected_only=True)
         b = enumerate_monomials(2, 2, 3, connected_only=True)
         assert a == b
+
+
+def _oracle_max_cycle(p):
+    return max(len(c) for c in cycle_decomposition(p))
+
+
+def _oracle_connected(mon):
+    parent = list(range(mon.n_boxes))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for p in mon.perms:
+        for j, pj in enumerate(p):
+            parent[find(j)] = find(pj)
+    return len({find(j) for j in range(mon.n_boxes)}) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_classes(n, m, max_degree):
+    """Every relabeling class up to max_degree: raw product listing, then
+    brute-force canonical_form, then dedupe."""
+    classes = set()
+    for ell in range(1, max_degree + 1):
+        perms_ell = list(itertools.permutations(range(ell)))
+        for labels in itertools.product(range(m), repeat=ell):
+            for perms in itertools.product(perms_ell, repeat=n):
+                classes.add(canonical_form(TraceMonomial(labels=labels, perms=perms)))
+    return classes
+
+
+def oracle_listing(n, m, max_degree, girth_cap=None, connected_only=False):
+    keep = [
+        mon
+        for mon in _oracle_classes(n, m, max_degree)
+        if (girth_cap is None or all(_oracle_max_cycle(p) <= c for p, c in zip(mon.perms, girth_cap)))
+        and (not connected_only or _oracle_connected(mon))
+    ]
+    return sorted(keep, key=lambda mon: (mon.degree, mon.labels, mon.perms))
+
+
+# (n, m, highest degree the brute-force oracle reaches in well under a second)
+ORACLE_GRID = [
+    (1, 1, 5), (1, 2, 4), (1, 3, 4),
+    (2, 1, 4), (2, 2, 3), (2, 3, 3),
+    (3, 1, 3), (3, 2, 3), (3, 3, 3),
+]
+
+
+def oracle_caps(n):
+    return [None, (1,) * n, (2,) * n, (3,) * n, tuple(1 + (i % 3) for i in range(n))[::-1]]
+
+
+class TestEnumerateOracle:
+    @pytest.mark.parametrize("n,m,max_degree", ORACLE_GRID)
+    def test_matches_brute_force(self, n, m, max_degree):
+        for degree in range(1, max_degree + 1):
+            for cap in oracle_caps(n):
+                for connected in (False, True):
+                    got = enumerate_monomials(n, m, degree, girth_cap=cap, connected_only=connected)
+                    assert got == oracle_listing(n, m, degree, cap, connected), (degree, cap, connected)
+
+    def test_raw_listing_is_product_order(self):
+        perms3 = list(itertools.permutations(range(3)))
+        want = [
+            TraceMonomial(labels=labels, perms=perms)
+            for ell, rows in ((1, [(0,)]), (2, [(0, 1), (1, 0)]), (3, perms3))
+            for labels in itertools.product(range(2), repeat=ell)
+            for perms in itertools.product(rows, repeat=2)
+            if all(_oracle_max_cycle(p) <= 2 for p in perms)
+        ]
+        assert enumerate_monomials(2, 2, 3, girth_cap=(2, 2), canonical=False) == want
+
+
+def _partitions(ell, largest=None):
+    largest = ell if largest is None else largest
+    if ell == 0:
+        yield ()
+        return
+    for k in range(min(ell, largest), 0, -1):
+        for rest in _partitions(ell - k, k):
+            yield (k, *rest)
+
+
+def _centralizer_order(shape):
+    z = 1
+    for k, a in Counter(shape).items():
+        z *= k**a * math.factorial(a)
+    return z
+
+
+def burnside_count(n, m, max_degree):
+    """Relabeling classes up to max_degree:
+    sum over ell <= max_degree and partitions lambda of ell of
+    m^len(lambda) * z_lambda^(n-1)."""
+    return sum(
+        m ** len(shape) * _centralizer_order(shape) ** (n - 1)
+        for ell in range(1, max_degree + 1)
+        for shape in _partitions(ell)
+    )
+
+
+class TestEnumerateCount:
+    def test_burnside_small(self):
+        assert burnside_count(1, 1, 3) == 1 + 2 + 3
+        assert burnside_count(2, 1, 2) == 1 + (2 + 2)
+
+    @pytest.mark.parametrize("n,m,max_degree", [(2, 1, 6), (3, 2, 4), (4, 1, 4)])
+    def test_count_matches_burnside(self, n, m, max_degree):
+        mons = enumerate_monomials(n, m, max_degree)
+        assert len(mons) == burnside_count(n, m, max_degree)
+        assert len(set(mons)) == len(mons)
+        rng = np.random.default_rng(n * 100 + m * 10 + max_degree)
+        for k in rng.choice(len(mons), size=40, replace=False):
+            assert canonical_form(mons[k]) == mons[k]
