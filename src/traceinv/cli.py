@@ -3,9 +3,9 @@
 Subcommands: eval, slocc-eval, compare, enumerate, bounds, factorize,
 random, render.  Labels and cycle notation on the command line are
 1-based.  Exit codes: 0 success (or indistinguishable), 1 separated,
-2 bad usage or malformed input, 3 input exceeds a size envelope.  The
-environment variable TRACEINV_TOL overrides the default comparison
-tolerance.
+2 bad usage or malformed input, 3 input exceeds a size envelope,
+4 internal error.  The environment variable TRACEINV_TOL overrides the
+default comparison tolerance.
 """
 
 from __future__ import annotations
@@ -91,11 +91,12 @@ def _cmd_slocc_eval(args):
 
 
 def _cmd_compare(args):
+    tol = _default_tol() if args.tol is None else check_tol(args.tol, "--tol")
     a = load_state(args.a)
     b = load_state(args.b)
     if a.kind != "operator_tuple" or b.kind != "operator_tuple":
         raise ValueError("compare needs two operator_tuple state files")
-    verdict = decide_lu_equiv(a.operators, b.operators, max_degree=args.max_degree, tol=args.tol)
+    verdict = decide_lu_equiv(a.operators, b.operators, max_degree=args.max_degree, tol=tol)
     if verdict.separated:
         va, vb = verdict.values
         print(
@@ -247,10 +248,6 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "tol", False) is None:
-            args.tol = _default_tol()
-        elif hasattr(args, "tol"):
-            args.tol = check_tol(args.tol, "--tol")
         return args.func(args)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -258,6 +255,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: never exit 1 ("separated")
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ monomial.
 
 from __future__ import annotations
 
-from .errors import UnsupportedSizeError
+from .errors import MAX_BOXES, check_size
 
 BOX = 40
 GAP = 30
@@ -21,8 +21,6 @@ STUB = 10
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
-MAX_RENDER_BOXES = 8
-
 
 def _fmt(x):
     return f"{x:g}"
@@ -31,10 +29,8 @@ def _fmt(x):
 def render_svg(mon, path=None) -> str:
     """Render the monomial's network as an SVG string (optionally saved)."""
     ell, n = mon.n_boxes, mon.n_rows
-    if ell > MAX_RENDER_BOXES:
-        raise UnsupportedSizeError(f"rendering supports at most {MAX_RENDER_BOXES} boxes, got {ell}")
-    if n > len(PALETTE):
-        raise UnsupportedSizeError(f"rendering supports at most {len(PALETTE)} rows, got {n}")
+    check_size("rendering boxes", ell, MAX_BOXES)
+    check_size("rendering rows", n, len(PALETTE))
 
     hops = [(i, j, mon.perms[i][j]) for i in range(n) for j in range(ell)]
     lanes = {}

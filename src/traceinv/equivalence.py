@@ -60,6 +60,20 @@ class Fingerprint:
         return tuple(v for _, v in self.entries)
 
 
+def _invariants(tuples, max_degree, girth_filter, connected_only):
+    """Lazily yield ``(mon, values on each tuple)`` in enumeration order.
+
+    The tuples must share dims and length; the monomials come from the first.
+    """
+    dims = tuples[0].dims
+    cap = generator_girth_cap(dims) if girth_filter else None
+    mons = enumerate_monomials(
+        dims.n, tuples[0].m, max_degree, girth_cap=cap, connected_only=connected_only
+    )
+    for mon in mons:
+        yield mon, tuple(eval_contract(mon, ops) for ops in tuples)
+
+
 def fingerprint(ops: OperatorTuple, max_degree, girth_filter=True, connected_only=True) -> Fingerprint:
     """Evaluate every canonical trace monomial of the tuple up to max_degree.
 
@@ -67,16 +81,12 @@ def fingerprint(ops: OperatorTuple, max_degree, girth_filter=True, connected_onl
     their subsystem dimension; with connected_only, product monomials are
     skipped (their values are determined by the connected ones).
     """
-    dims = ops.dims
-    cap = generator_girth_cap(dims) if girth_filter else None
-    mons = enumerate_monomials(
-        dims.n, ops.m, max_degree, girth_cap=cap, connected_only=connected_only
-    )
+    invariants = _invariants((ops,), max_degree, girth_filter, connected_only)
     return Fingerprint(
-        dims=dims.sizes,
+        dims=ops.dims.sizes,
         m=ops.m,
         max_degree=max_degree,
-        entries=tuple((mon, eval_contract(mon, ops)) for mon in mons),
+        entries=tuple((mon, v) for mon, (v,) in invariants),
     )
 
 
@@ -126,13 +136,7 @@ def decide_lu_equiv(
             "for local-unitary equivalence but may not be sufficient",
             stacklevel=2,
         )
-    cap = generator_girth_cap(a.dims) if girth_filter else None
-    mons = enumerate_monomials(
-        a.dims.n, a.m, max_degree, girth_cap=cap, connected_only=connected_only
-    )
-    for mon in mons:
-        va = eval_contract(mon, a)
-        vb = eval_contract(mon, b)
+    for mon, (va, vb) in _invariants((a, b), max_degree, girth_filter, connected_only):
         if abs(va - vb) > tol * (1 + max(abs(va), abs(vb))):
             return Verdict(
                 separated=True,

@@ -1,4 +1,22 @@
-"""Package-wide exception types."""
+"""Package-wide exception types and the size envelopes they enforce."""
+
+#: Hard cap on monomial degree for enumeration / canonicalization.
+MAX_DEGREE = 6
+
+#: Cap on box count for canonical forms, factorize, eval_contract and rendering.
+MAX_BOXES = 8
+
+#: Cap on raw (P, sigma) candidates visited in one enumeration call.
+ENUM_BUDGET = 4_000_000
+
+#: eval_reference visits D^ell index assignments; cap the total.
+REFERENCE_ENVELOPE = 4096
+
+#: eval_contract works on the full product space; cap its dimension.
+CONTRACT_MAX_DIM = 64
+
+#: eval_contract names n * ell bonds; numpy's einsum has 52 subscript letters.
+EINSUM_MAX_SUBSCRIPTS = 52
 
 
 class UnsupportedSizeError(Exception):
@@ -8,3 +26,10 @@ class UnsupportedSizeError(Exception):
     tell "you asked for something too big" apart from "the arguments are
     malformed".
     """
+
+
+def check_size(what, value, limit):
+    """Raise UnsupportedSizeError when ``value``, the quantity named by
+    ``what``, exceeds ``limit``."""
+    if value > limit:
+        raise UnsupportedSizeError(f"{what} = {value} exceeds the supported limit {limit}")

@@ -23,17 +23,14 @@ from math import prod
 import numpy as np
 
 from .core import OperatorTuple, to_net_tensor
-from .errors import UnsupportedSizeError
-from .perms import MAX_BOXES, TraceMonomial, cycle_decomposition, invert_perm
-
-#: eval_reference visits D^ell index assignments; cap the total.
-REFERENCE_ENVELOPE = 4096
-
-#: eval_contract works on the full product space; cap its dimension.
-CONTRACT_MAX_DIM = 64
-
-#: eval_contract names n * ell bonds; numpy's einsum has 52 subscript letters.
-EINSUM_MAX_SUBSCRIPTS = 52
+from .errors import (
+    CONTRACT_MAX_DIM,
+    EINSUM_MAX_SUBSCRIPTS,
+    MAX_BOXES,
+    REFERENCE_ENVELOPE,
+    check_size,
+)
+from .perms import TraceMonomial, _component, cycle_decomposition, invert_perm
 
 
 def _check_compat(mon: TraceMonomial, ops: OperatorTuple):
@@ -62,10 +59,7 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     dims = ops.dims
     D = dims.total
     ell = mon.n_boxes
-    if D**ell > REFERENCE_ENVELOPE:
-        raise UnsupportedSizeError(
-            f"reference engine supports D^ell <= {REFERENCE_ENVELOPE}, got {D}^{ell}"
-        )
+    check_size("reference engine index assignments (D^ell)", D**ell, REFERENCE_ENVELOPE)
     strides = [prod(dims.sizes[i + 1 :]) for i in range(dims.n)]
     y = np.indices((D,) * ell).reshape(ell, -1)
     term = np.ones(y.shape[1], dtype=complex)
@@ -89,17 +83,9 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     _check_compat(mon, ops)
     dims = ops.dims
     ell = mon.n_boxes
-    if ell > MAX_BOXES:
-        raise UnsupportedSizeError(f"contraction engine supports at most {MAX_BOXES} boxes")
-    if dims.total > CONTRACT_MAX_DIM:
-        raise UnsupportedSizeError(
-            f"contraction engine supports total dimension <= {CONTRACT_MAX_DIM}, got {dims.total}"
-        )
-    if dims.n * ell > EINSUM_MAX_SUBSCRIPTS:
-        raise UnsupportedSizeError(
-            f"contraction engine supports n * ell <= {EINSUM_MAX_SUBSCRIPTS} einsum subscripts, "
-            f"got {dims.n} * {ell}"
-        )
+    check_size("contraction engine boxes", ell, MAX_BOXES)
+    check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
+    check_size("einsum subscripts (n * ell)", dims.n * ell, EINSUM_MAX_SUBSCRIPTS)
     inv = [invert_perm(p) for p in mon.perms]
     operands = []
     for j in range(ell):
@@ -150,24 +136,14 @@ def _restrict(mon: TraceMonomial, positions):
 
 
 def _components(mon: TraceMonomial):
-    ell = mon.n_boxes
-    parent = list(range(ell))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in mon.perms:
-        for j, pj in enumerate(p):
-            ra, rb = find(j), find(pj)
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for j in range(ell):
-        groups.setdefault(find(j), []).append(j)
-    return sorted(groups.values())
+    """Sorted position lists of the network components, by least position."""
+    comps, seen = [], set()
+    for start in range(mon.n_boxes):
+        if start not in seen:
+            comp = _component(mon.perms, start)
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
 
 
 def _row_lengths(mon, positions):
@@ -212,8 +188,7 @@ def factorize(mon: TraceMonomial) -> Factorization:
     other polynomial relation exists.
     """
     ell = mon.n_boxes
-    if ell > MAX_BOXES:
-        raise UnsupportedSizeError(f"factorize supports at most {MAX_BOXES} boxes, got {ell}")
+    check_size("factorize boxes", ell, MAX_BOXES)
     if ell == 1:
         return Factorization(reducible=False)
 

@@ -18,16 +18,7 @@ import re
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import UnsupportedSizeError
-
-#: Hard cap on monomial degree for enumeration / canonicalization.
-MAX_DEGREE = 6
-
-#: Cap on brute-force box count for canonical forms.
-MAX_BOXES = 8
-
-#: Cap on raw (P, sigma) candidates visited in one enumeration call.
-ENUM_BUDGET = 4_000_000
+from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_size
 
 
 def identity_perm(size):
@@ -193,18 +184,22 @@ def network_edges(mon: TraceMonomial):
     return edges
 
 
-def is_connected(mon: TraceMonomial) -> bool:
-    # the rows generate a permutation group, so following images alone
-    # sweeps out each connected component
-    seen = {0}
-    stack = [0]
+def _component(perms, start):
+    """Positions in the network component of ``start``; the rows generate a
+    permutation group, so following images alone sweeps out the component."""
+    seen = {start}
+    stack = [start]
     while stack:
         j = stack.pop()
-        for p in mon.perms:
+        for p in perms:
             if p[j] not in seen:
                 seen.add(p[j])
                 stack.append(p[j])
-    return len(seen) == mon.n_boxes
+    return seen
+
+
+def is_connected(mon: TraceMonomial) -> bool:
+    return len(_component(mon.perms, 0)) == mon.n_boxes
 
 
 def _relabel(labels, perms, tau, tau_inv):
@@ -227,8 +222,7 @@ def canonical_form(mon: TraceMonomial) -> TraceMonomial:
     Brute force over all tau, so limited to MAX_BOXES positions.
     """
     ell = mon.n_boxes
-    if ell > MAX_BOXES:
-        raise UnsupportedSizeError(f"canonical form supports at most {MAX_BOXES} boxes, got {ell}")
+    check_size("canonical form boxes", ell, MAX_BOXES)
     best = min(_relabel(mon.labels, mon.perms, tau, tau_inv) for tau, tau_inv in _tau_pairs(ell))
     return TraceMonomial(labels=best[0], perms=best[1])
 
@@ -310,19 +304,14 @@ def enumerate_monomials(
     """
     if n < 1 or m < 1 or max_degree < 1:
         raise ValueError("n, m, max_degree must all be >= 1")
-    if max_degree > MAX_DEGREE:
-        raise UnsupportedSizeError(f"max_degree capped at {MAX_DEGREE}, got {max_degree}")
+    check_size("max_degree", max_degree, MAX_DEGREE)
     if girth_cap is not None:
         girth_cap = tuple(girth_cap)
         if len(girth_cap) != n:
             raise ValueError(f"girth_cap must have one entry per row, got {girth_cap}")
 
     work = sum(factorial(ell) ** n * m**ell for ell in range(1, max_degree + 1))
-    if work > ENUM_BUDGET:
-        raise UnsupportedSizeError(
-            f"enumeration would visit ~{work} candidates (budget {ENUM_BUDGET}); "
-            "reduce max_degree, n, or m"
-        )
+    check_size("enumeration candidates (reduce max_degree, n or m)", work, ENUM_BUDGET)
 
     out = []
     for ell in range(1, max_degree + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_MAX_COND, Dims, OperatorTuple, kron, _rng
+from .core import DEFAULT_MAX_COND, Dims, OperatorTuple, kron, random_local_invertible
 from .evaluate import eval_contract
 from .perms import TraceMonomial
 
@@ -71,17 +71,12 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
 def random_sl2_tuple(n, seed=None, max_cond=DEFAULT_MAX_COND) -> list[np.ndarray]:
     """Sample n independent determinant-one 2x2 complex matrices.
 
-    Entrywise Gaussian draws, rejected while the condition number is at or
-    above ``max_cond``, then rescaled by a square root of the determinant.
+    The draws of ``random_local_invertible`` on n qubits, each rescaled by a
+    square root of its determinant.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
-    out = []
-    for _ in range(n):
-        while True:
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if np.linalg.cond(g) < max_cond:
-                break
-        out.append(g / np.sqrt(np.linalg.det(g)))
-    return out
+    return [
+        g / np.sqrt(np.linalg.det(g))
+        for g in random_local_invertible((2,) * n, seed, max_cond)
+    ]

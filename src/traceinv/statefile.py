@@ -78,7 +78,10 @@ def _as_complex(pair, what):
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise ValueError(f"{what}: expected a [re, im] number pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise ValueError(f"{what}: entry too large for a float") from None
 
 
 def loads_state(raw: bytes | str) -> StateFile:

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from traceinv import Dims, OperatorTuple, save_operator_tuple, save_pure_state
+from traceinv import Dims, OperatorTuple, cli, save_operator_tuple, save_pure_state
 from traceinv.cli import format_value, main
 
 
@@ -154,6 +156,19 @@ class TestCompare:
         assert main(["compare", "--a", a, "--b", a, "--max-degree", "2", f"--tol={bad}"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_huge_integer_in_state_file(self, tmp_path, capsys):
+        # exit 1 would read as "separated"
+        a, b = diag_pair_files(tmp_path)
+        with open(b) as fh:
+            doc = json.load(fh)
+        doc["data"][0][0][0] = [10**400, 0]
+        with open(b, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["compare", "--a", a, "--b", b, "--max-degree", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float" in captured.err
+
     def test_zero_tolerance(self, tmp_path, capsys):
         a, b = rank_one_vs_mixed_files(tmp_path)
         assert main(["compare", "--a", a, "--b", a, "--max-degree", "2", "--tol", "0"]) == 0
@@ -272,3 +287,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_internal_error_exit_code(self, monkeypatch, capsys):
+        # an unexpected exception must not surface as exit 1 ("separated")
+        def boom(args):
+            raise RuntimeError("wires crossed")
+
+        monkeypatch.setattr(cli, "_cmd_bounds", boom)
+        assert main(["bounds", "--slocc", "-n", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: RuntimeError: wires crossed" in captured.err

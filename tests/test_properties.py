@@ -1,0 +1,137 @@
+"""Property tests over random sizes inside the envelopes, and the envelope
+table's boundaries."""
+
+from math import prod
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import traceinv.evaluate
+import traceinv.perms
+from traceinv import (
+    Dims,
+    OperatorTuple,
+    TraceMonomial,
+    UnsupportedSizeError,
+    canonical_form,
+    enumerate_monomials,
+    eval_contract,
+    eval_reference,
+    factorize,
+    render_svg,
+)
+from traceinv.diagram import PALETTE
+from traceinv.errors import (
+    CONTRACT_MAX_DIM,
+    EINSUM_MAX_SUBSCRIPTS,
+    ENUM_BUDGET,
+    MAX_BOXES,
+    MAX_DEGREE,
+    REFERENCE_ENVELOPE,
+)
+
+
+@st.composite
+def monomial_and_ops(draw):
+    """A monomial and an operator tuple it fits, with D^ell within the
+    reference engine's envelope; matrices have unit Frobenius norm."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    D = prod(sizes)
+    ell = draw(st.integers(1, max(k for k in range(1, 6) if D**k <= REFERENCE_ENVELOPE)))
+    m = draw(st.integers(1, 2))
+    labels = tuple(draw(st.lists(st.integers(0, m - 1), min_size=ell, max_size=ell)))
+    row = st.permutations(range(ell)).map(tuple)
+    perms = tuple(draw(st.lists(row, min_size=len(sizes), max_size=len(sizes))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(m):
+        M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        mats.append(M / np.linalg.norm(M))
+    return TraceMonomial(labels=labels, perms=perms), OperatorTuple(Dims(sizes), tuple(mats))
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-10 * (1 + max(abs(a), abs(b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_and_ops())
+def test_engines_agree(case):
+    mon, ops = case
+    assert close(eval_contract(mon, ops), eval_reference(mon, ops))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_and_ops())
+def test_relabeling_invariance(case):
+    mon, ops = case
+    assert close(eval_contract(canonical_form(mon), ops), eval_contract(mon, ops))
+
+
+def _boxes(ell, rows=1):
+    return TraceMonomial(labels=(0,) * ell, perms=(tuple(range(ell)),) * rows)
+
+
+def _eye(sizes):
+    dims = Dims(sizes)
+    return OperatorTuple(dims, (np.eye(dims.total, dtype=complex),))
+
+
+def _enumerate_at_budget(k, monkeypatch):
+    # (2, 1, 4) visits 1 + 4 + 36 + 576 raw candidates; no request lands on
+    # the real budget exactly, so move the budget to meet the request
+    monkeypatch.setattr(traceinv.perms, "ENUM_BUDGET", 617 - k)
+    enumerate_monomials(2, 1, 4)
+
+
+def _reference_at_envelope(k, monkeypatch):
+    # 8^4 = 4096 lands on the envelope; no small D^ell lands one past it
+    monkeypatch.setattr(traceinv.evaluate, "REFERENCE_ENVELOPE", REFERENCE_ENVELOPE - k)
+    eval_reference(_boxes(4, rows=3), _eye((2, 2, 2)))
+
+
+def _contract_at_subscripts(k, monkeypatch):
+    # 26 rows of two boxes use all 52 subscripts; 53 rows of one box need one
+    # more (numpy arrays have at most 64 axes, so rows of one box stop at 32)
+    rows, ell = (26, 2) if k == 0 else (53, 1)
+    assert rows * ell == EINSUM_MAX_SUBSCRIPTS + k
+    eval_contract(_boxes(ell, rows=rows), _eye((1,) * rows))
+
+
+#: One probe per check site: ``probe(k, monkeypatch)`` makes a request whose
+#: size is the limit plus k.
+ENVELOPE_PROBES = {
+    "MAX_DEGREE/enumerate": lambda k, mp: enumerate_monomials(1, 1, MAX_DEGREE + k),
+    "ENUM_BUDGET/enumerate": _enumerate_at_budget,
+    "MAX_BOXES/canonical_form": lambda k, mp: canonical_form(_boxes(MAX_BOXES + k)),
+    "REFERENCE_ENVELOPE/eval_reference": _reference_at_envelope,
+    "MAX_BOXES/eval_contract": lambda k, mp: eval_contract(_boxes(MAX_BOXES + k), _eye((2,))),
+    "CONTRACT_MAX_DIM/eval_contract": (
+        lambda k, mp: eval_contract(_boxes(1), _eye((CONTRACT_MAX_DIM + k,)))
+    ),
+    "EINSUM_MAX_SUBSCRIPTS/eval_contract": _contract_at_subscripts,
+    "MAX_BOXES/factorize": lambda k, mp: factorize(_boxes(MAX_BOXES + k)),
+    "MAX_BOXES/render_svg": lambda k, mp: render_svg(_boxes(MAX_BOXES + k)),
+    "PALETTE/render_svg": lambda k, mp: render_svg(_boxes(2, rows=len(PALETTE) + k)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ENVELOPE_PROBES))
+def test_envelope_boundary(site, monkeypatch):
+    probe = ENVELOPE_PROBES[site]
+    probe(0, monkeypatch)
+    with pytest.raises(UnsupportedSizeError):
+        probe(1, monkeypatch)
+
+
+def test_envelope_table_values():
+    # the documented envelopes, and the old module paths that still read them
+    assert (MAX_DEGREE, MAX_BOXES, ENUM_BUDGET) == (6, 8, 4_000_000)
+    assert (REFERENCE_ENVELOPE, CONTRACT_MAX_DIM, EINSUM_MAX_SUBSCRIPTS) == (4096, 64, 52)
+    assert traceinv.perms.MAX_DEGREE == MAX_DEGREE
+    assert traceinv.perms.MAX_BOXES == MAX_BOXES
+    assert traceinv.perms.ENUM_BUDGET == ENUM_BUDGET
+    assert traceinv.evaluate.REFERENCE_ENVELOPE == REFERENCE_ENVELOPE
+    assert traceinv.evaluate.CONTRACT_MAX_DIM == CONTRACT_MAX_DIM
+    assert traceinv.evaluate.EINSUM_MAX_SUBSCRIPTS == EINSUM_MAX_SUBSCRIPTS

@@ -115,6 +115,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="pair"):
             loads_state(json.dumps(doc))
 
+    def test_huge_integer_entry(self):
+        # an integer too large for a float must not escape as OverflowError
+        doc = self.good_doc()
+        doc["data"][0][0][0] = [10**400, 0]
+        with pytest.raises(ValueError, match="float"):
+            loads_state(json.dumps(doc))
+
     def test_pure_state_dims_must_be_qubits(self):
         doc = json.loads(pure_state_bytes(np.ones(4)))
         doc["dims"] = [4]
