@@ -176,6 +176,11 @@ def _cmd_render(args):
     return 0
 
 
+def _monomial_args(p):
+    p.add_argument("--labels", required=True, help='e.g. "1,1,2"')
+    p.add_argument("--perm", required=True, help='cycle notation per row, e.g. "(2 3);(1 2)"')
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="traceinv",
@@ -185,24 +190,19 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate one trace monomial on a state file")
     p.add_argument("--state", required=True)
-    p.add_argument("--labels", required=True, help='e.g. "1,1,2"')
-    p.add_argument("--perm", required=True, help='cycle notation per row, e.g. "(2 3);(1 2)"')
+    _monomial_args(p)
     p.add_argument("--engine", choices=["contract", "ref"], default="contract")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("slocc-eval", help="evaluate a SLOCC invariant of pure states")
     p.add_argument("--state", action="append", required=True,
                    help="pure_state file; repeat for multi-state invariants")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--perm", required=True)
-    p.set_defaults(func=_cmd_slocc_eval)
+    _monomial_args(p)
 
     p = sub.add_parser("compare", help="compare invariants of two operator tuples")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("enumerate", help="list canonical trace monomials")
     p.add_argument("-n", type=int, required=True, help="number of subsystem rows")
@@ -211,7 +211,6 @@ def build_parser():
     p.add_argument("--girth-cap", default=None, help='per-row cap, e.g. "3,3"')
     p.add_argument("--connected", action="store_true")
     p.add_argument("--raw", action="store_true", help="no dedup by box relabeling")
-    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bounds", help="generating-degree bounds")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -220,12 +219,9 @@ def build_parser():
     p.add_argument("--dims", default=None, help='subsystem dims for --lu, e.g. "2,2"')
     p.add_argument("-n", type=int, default=None, help="qubit count for --slocc")
     p.add_argument("-m", type=int, default=1)
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("factorize", help="split a monomial into smaller factors")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--perm", required=True)
-    p.set_defaults(func=_cmd_factorize)
+    _monomial_args(p)
 
     p = sub.add_parser("random", help="write a random state file")
     p.add_argument("--dims", required=True)
@@ -234,21 +230,23 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--kind", choices=["density", "pure"], default="density")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("render", help="draw a monomial's network as SVG")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--perm", required=True)
+    _monomial_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
 
     return parser
 
 
+_PARSER = build_parser()  # built once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so a replaced handler takes effect
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -65,6 +65,14 @@ def as_dims(dims) -> Dims:
     return dims if isinstance(dims, Dims) else Dims(tuple(dims))
 
 
+def _qubit_count(length):
+    """n for a pure state of n qubits with ``length`` = 2^n amplitudes."""
+    n = length.bit_length() - 1
+    if length < 2 or 2**n != length:
+        raise ValueError(f"amplitude count must be a power of two >= 2, got {length}")
+    return n
+
+
 @dataclass(frozen=True)
 class OperatorTuple:
     """An ordered tuple (M_1, ..., M_m) of D x D matrices on a common product space."""

@@ -15,7 +15,7 @@ REFERENCE_ENVELOPE = 4096
 #: eval_contract works on the full product space; cap its dimension.
 CONTRACT_MAX_DIM = 64
 
-#: eval_contract names n * ell bonds; numpy's einsum has 52 subscript letters.
+#: eval_contract names ell bonds per row with d > 1; numpy's einsum has 52 subscript letters.
 EINSUM_MAX_SUBSCRIPTS = 52
 
 

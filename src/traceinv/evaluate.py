@@ -7,11 +7,12 @@ It sums matrix entries over all global index assignments instead of
 materializing that big product, but the index bookkeeping is otherwise a
 literal transcription and is kept deliberately simple.
 
-``eval_contract`` treats the monomial as a tensor network: one 2n-index box
-per position, with the column index of box j on row i bonded to the row
-index of box sigma_i(j).  The network is contracted pairwise with a greedy
-intermediate-size heuristic.  Agreement of the two engines on random inputs
-is the main internal correctness check of the package.
+``eval_contract`` treats the monomial as a tensor network: one box per
+position with two indices per subsystem of dimension d > 1, the column
+index of box j on row i bonded to the row index of box sigma_i(j).  The
+network is contracted pairwise with a greedy intermediate-size heuristic.
+Agreement of the two engines on random inputs is the main internal
+correctness check of the package.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import prod
 
 import numpy as np
 
-from .core import OperatorTuple, to_net_tensor
+from .core import OperatorTuple
 from .errors import (
     CONTRACT_MAX_DIM,
     EINSUM_MAX_SUBSCRIPTS,
@@ -73,8 +74,10 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
 
 
 def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
-    """Tensor-network engine: einsum over one 2n-index tensor per box.
+    """Tensor-network engine: einsum over one tensor per box.
 
+    Each box has a row and a column axis per subsystem of dimension d > 1;
+    subsystems with d = 1 carry no index and are dropped from the network.
     Bond (i, j) joins the column axis of box j on subsystem row i with the
     row axis of box sigma_i(j); a fixed point of a row becomes a plain trace
     on that box.  Contraction order is chosen greedily to keep intermediate
@@ -85,15 +88,16 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     ell = mon.n_boxes
     check_size("contraction engine boxes", ell, MAX_BOXES)
     check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
-    check_size("einsum subscripts (n * ell)", dims.n * ell, EINSUM_MAX_SUBSCRIPTS)
-    inv = [invert_perm(p) for p in mon.perms]
+    rows = [i for i, d in enumerate(dims.sizes) if d > 1]
+    check_size("einsum subscripts (rows with d > 1, times ell)", len(rows) * ell,
+               EINSUM_MAX_SUBSCRIPTS)
+    shape = tuple(dims.sizes[i] for i in rows) * 2
+    inv = [invert_perm(mon.perms[i]) for i in rows]
+    n = len(rows)
     operands = []
     for j in range(ell):
-        t = to_net_tensor(ops.matrices[mon.labels[j]], dims)
-        subs = [i * ell + inv[i][j] for i in range(dims.n)] + [
-            i * ell + j for i in range(dims.n)
-        ]
-        operands += [t, subs]
+        subs = [k * ell + inv[k][j] for k in range(n)] + [k * ell + j for k in range(n)]
+        operands += [ops.matrices[mon.labels[j]].reshape(shape), subs]
     return complex(np.einsum(*operands, [], optimize="greedy"))
 
 
@@ -135,23 +139,24 @@ def _restrict(mon: TraceMonomial, positions):
     return TraceMonomial(labels=labels, perms=perms)
 
 
-def _components(mon: TraceMonomial):
-    """Sorted position lists of the network components, by least position."""
-    comps, seen = [], set()
-    for start in range(mon.n_boxes):
-        if start not in seen:
-            comp = _component(mon.perms, start)
-            seen |= comp
-            comps.append(sorted(comp))
-    return comps
-
-
-def _row_lengths(mon, positions):
-    out = []
-    for p in mon.perms:
-        lens = [len(c) for c in cycle_decomposition(p) if c[0] in positions]
-        out.append(tuple(sorted(lens)))
-    return out
+def _split(factored: TraceMonomial, left, relocated) -> Factorization:
+    """The reducible outcome for ``factored`` split along the cycle-closed
+    position set ``left``."""
+    left = sorted(left)
+    right = [j for j in range(factored.n_boxes) if j not in left]
+    return Factorization(
+        reducible=True,
+        left_positions=tuple(left),
+        right_positions=tuple(right),
+        left=_restrict(factored, left),
+        right=_restrict(factored, right),
+        factored=factored,
+        relocated=relocated,
+        row_split=tuple(
+            tuple(tuple(sorted(len(c) for c in cycles if c[0] in side)) for side in (left, right))
+            for cycles in map(cycle_decomposition, factored.perms)
+        ),
+    )
 
 
 def _cycle_subsets(cycles, labels, ell):
@@ -189,91 +194,30 @@ def factorize(mon: TraceMonomial) -> Factorization:
     """
     ell = mon.n_boxes
     check_size("factorize boxes", ell, MAX_BOXES)
-    if ell == 1:
-        return Factorization(reducible=False)
-
-    comps = _components(mon)
-    if len(comps) > 1:
-        left = comps[0]
-        right = sorted(j for grp in comps[1:] for j in grp)
-        return Factorization(
-            reducible=True,
-            left_positions=tuple(left),
-            right_positions=tuple(right),
-            left=_restrict(mon, left),
-            right=_restrict(mon, right),
-            factored=mon,
-            relocated=False,
-            row_split=tuple(
-                (a, b)
-                for a, b in zip(_row_lengths(mon, set(left)), _row_lengths(mon, set(right)))
-            ),
-        )
+    comp = _component(mon.perms, 0)
+    if len(comp) < ell:
+        return _split(mon, comp, relocated=False)
 
     # connected: search for a common (size, label-multiset) split of each
     # row's cycles
-    per_row = [
-        _cycle_subsets(cycle_decomposition(p), mon.labels, ell) for p in mon.perms
-    ]
-    common = set(per_row[0])
-    for sigs in per_row[1:]:
-        common &= set(sigs)
+    per_row = [_cycle_subsets(cycle_decomposition(p), mon.labels, ell) for p in mon.perms]
+    common = set(per_row[0]).intersection(*per_row[1:])
     if not common:
         return Factorization(reducible=False)
     sig = min(common)
 
-    # relocate: left block takes, per label value, the first positions
-    # carrying that label; each row maps its chosen cycles onto the block
-    # label-by-label so box labels stay put
-    need = dict(sig[1])
-    left_pos, right_pos = [], []
-    taken = Counter()
-    for j, lab in enumerate(mon.labels):
-        if taken[lab] < need.get(lab, 0):
-            left_pos.append(j)
-            taken[lab] += 1
-        else:
-            right_pos.append(j)
-
-    def slots_by_label(positions):
-        by = {}
-        for j in positions:
-            by.setdefault(mon.labels[j], []).append(j)
-        return by
-
-    left_slots = slots_by_label(left_pos)
-    right_slots = slots_by_label(right_pos)
-
+    # relocate each row by a label-preserving bijection: the chosen cycles'
+    # positions (sorted), then the rest, each take the next unused position
+    # with the same label.  All rows' chosen cycles carry the label multiset
+    # sig[1], so they land on one left block
+    slots = {lab: [j for j, x in enumerate(mon.labels) if x == lab] for lab in set(mon.labels)}
     new_perms = []
     for p, sigs in zip(mon.perms, per_row):
-        chosen = sigs[sig]
-        in_left = {j for c in chosen for j in c}
-        phi = {}
-        fill = {lab: list(slots) for lab, slots in left_slots.items()}
-        for j in sorted(in_left):
-            phi[j] = fill[mon.labels[j]].pop(0)
-        fill = {lab: list(slots) for lab, slots in right_slots.items()}
-        for j in range(ell):
-            if j not in in_left:
-                phi[j] = fill[mon.labels[j]].pop(0)
-        q = [0] * ell
-        for j in range(ell):
-            q[phi[j]] = phi[p[j]]
-        new_perms.append(tuple(q))
-
+        chosen = sorted(j for c in sigs[sig] for j in c)
+        order = chosen + [j for j in range(ell) if j not in chosen]
+        free = {lab: iter(js) for lab, js in slots.items()}
+        phi = {j: next(free[mon.labels[j]]) for j in order}
+        source = sorted(phi, key=phi.get)  # phi^-1
+        new_perms.append(tuple(phi[p[j]] for j in source))
     factored = TraceMonomial(labels=mon.labels, perms=tuple(new_perms))
-    return Factorization(
-        reducible=True,
-        left_positions=tuple(left_pos),
-        right_positions=tuple(right_pos),
-        left=_restrict(factored, left_pos),
-        right=_restrict(factored, right_pos),
-        factored=factored,
-        relocated=True,
-        row_split=tuple(
-            (a, b)
-            for a, b in zip(
-                _row_lengths(factored, set(left_pos)), _row_lengths(factored, set(right_pos))
-            )
-        ),
-    )
+    return _split(factored, [phi[j] for j in chosen], relocated=True)

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from math import factorial
 
+from .core import as_dims
 from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_size
 
 
@@ -170,8 +171,7 @@ def generator_girth_cap(dims):
 
     d*(d+1)/2 for d <= 3, d^2 otherwise.
     """
-    sizes = dims.sizes if hasattr(dims, "sizes") else tuple(dims)
-    return tuple(d * (d + 1) // 2 if d <= 3 else d * d for d in sizes)
+    return tuple(d * (d + 1) // 2 if d <= 3 else d * d for d in as_dims(dims).sizes)
 
 
 def network_edges(mon: TraceMonomial):

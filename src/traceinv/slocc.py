@@ -13,7 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_MAX_COND, Dims, OperatorTuple, kron, random_local_invertible
+from .core import (
+    DEFAULT_MAX_COND,
+    Dims,
+    OperatorTuple,
+    _qubit_count,
+    kron,
+    random_local_invertible,
+)
 from .evaluate import eval_contract
 from .perms import TraceMonomial
 
@@ -26,13 +33,6 @@ def duality_form(n) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     return kron([DUALITY] * n)
-
-
-def _qubit_count(length):
-    n = length.bit_length() - 1
-    if length < 2 or 2**n != length:
-        raise ValueError(f"amplitude vector length must be a power of two >= 2, got {length}")
-    return n
 
 
 def embed_state(v) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, OperatorTuple
+from .core import Dims, OperatorTuple, _qubit_count
 
 FORMAT = "traceinv-state"
 VERSION = 1
@@ -56,9 +56,7 @@ def operator_tuple_bytes(ops: OperatorTuple) -> bytes:
 
 def pure_state_bytes(amplitudes) -> bytes:
     v = np.asarray(amplitudes, dtype=complex).ravel()
-    n = v.size.bit_length() - 1
-    if v.size < 2 or 2**n != v.size:
-        raise ValueError(f"amplitude count must be a power of two >= 2, got {v.size}")
+    n = _qubit_count(v.size)
     return _dump(
         {"data": [_pair(z) for z in v], "dims": [2] * n, "format": FORMAT,
          "kind": "pure_state", "version": VERSION}

@@ -84,16 +84,26 @@ class TestEval:
         assert code == 2
 
     def test_einsum_subscript_envelope(self, tmp_path, capsys):
-        # ten rows of six boxes: more subscripts than einsum has
+        # ten rows of six boxes, but only the d = 2 row takes subscripts
         path = tmp_path / "thin.json"
         save_operator_tuple(path, OperatorTuple(Dims((1,) * 9 + (2,)), (np.eye(2, dtype=complex),)))
         argv = ["eval", "--state", str(path), "--labels", "1,1,1,1,1,1", "--perm", ";".join(["()"] * 10)]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "subscripts" in captured.err
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "64.000000000000000"
         assert main(argv + ["--engine", "ref"]) == 0
         assert capsys.readouterr().out.strip() == "64.000000000000000"
+
+    def test_many_trivial_subsystems(self, tmp_path, capsys):
+        # 41 subsystems would need 82 axes per box, past numpy's 64; the
+        # d = 1 rows are dropped from the network instead
+        path = tmp_path / "thin.json"
+        M = np.diag([2.0, 3.0]).astype(complex)
+        save_operator_tuple(path, OperatorTuple(Dims((1,) * 40 + (2,)), (M,)))
+        argv = ["eval", "--state", str(path), "--labels", "1", "--perm", ";".join(["()"] * 41)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "5.000000000000000"
+        assert main(argv + ["--engine", "ref"]) == 0
+        assert capsys.readouterr().out.strip() == "5.000000000000000"
 
     def test_envelope_exit_code(self, tmp_path, capsys):
         dims = Dims((2, 2, 2))

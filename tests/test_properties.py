@@ -5,7 +5,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import traceinv.evaluate
 import traceinv.perms
@@ -15,10 +15,16 @@ from traceinv import (
     TraceMonomial,
     UnsupportedSizeError,
     canonical_form,
+    conjugate_local,
+    cycle_decomposition,
     enumerate_monomials,
     eval_contract,
     eval_reference,
+    eval_slocc,
     factorize,
+    kron,
+    random_local_unitary,
+    random_sl2_tuple,
     render_svg,
 )
 from traceinv.diagram import PALETTE
@@ -33,6 +39,14 @@ from traceinv.errors import (
 
 
 @st.composite
+def monomial(draw, n, ell, m):
+    """n rows on ell boxes, labels below m."""
+    labels = tuple(draw(st.lists(st.integers(0, m - 1), min_size=ell, max_size=ell)))
+    row = st.permutations(range(ell)).map(tuple)
+    return TraceMonomial(labels=labels, perms=tuple(draw(st.lists(row, min_size=n, max_size=n))))
+
+
+@st.composite
 def monomial_and_ops(draw):
     """A monomial and an operator tuple it fits, with D^ell within the
     reference engine's envelope; matrices have unit Frobenius norm."""
@@ -40,15 +54,13 @@ def monomial_and_ops(draw):
     D = prod(sizes)
     ell = draw(st.integers(1, max(k for k in range(1, 6) if D**k <= REFERENCE_ENVELOPE)))
     m = draw(st.integers(1, 2))
-    labels = tuple(draw(st.lists(st.integers(0, m - 1), min_size=ell, max_size=ell)))
-    row = st.permutations(range(ell)).map(tuple)
-    perms = tuple(draw(st.lists(row, min_size=len(sizes), max_size=len(sizes))))
+    mon = draw(monomial(len(sizes), ell, m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mats = []
     for _ in range(m):
         M = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         mats.append(M / np.linalg.norm(M))
-    return TraceMonomial(labels=labels, perms=perms), OperatorTuple(Dims(sizes), tuple(mats))
+    return mon, OperatorTuple(Dims(sizes), tuple(mats))
 
 
 def close(a, b):
@@ -67,6 +79,63 @@ def test_engines_agree(case):
 def test_relabeling_invariance(case):
     mon, ops = case
     assert close(eval_contract(canonical_form(mon), ops), eval_contract(mon, ops))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_and_ops(), st.integers(0, 2**32 - 1))
+def test_lu_invariance(case, seed):
+    mon, ops = case
+    g = random_local_unitary(ops.dims, seed)
+    moved = OperatorTuple(ops.dims, tuple(conjugate_local(M, g, ops.dims) for M in ops.matrices))
+    assert close(eval_contract(mon, moved), eval_contract(mon, ops))
+
+
+def _unit(rng, d):
+    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return M / np.linalg.norm(M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(lambda s: monomial(*s, 2)),
+       st.integers(0, 2**32 - 1))
+def test_sl_invariance(mon, seed):
+    rng = np.random.default_rng(seed)
+    n = mon.n_rows
+    states = [v / np.linalg.norm(v) for v in
+              (rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n) for _ in range(2))]
+    G = kron(random_sl2_tuple(n, rng))
+    moved = [G @ v for v in states]
+    # |value| <= prod of the boxes' trace norms |v|^2; scale the tolerance by it
+    scale = prod(max(1.0, np.linalg.norm(moved[k]) ** 2) for k in mon.labels)
+    assert abs(eval_slocc(mon, moved) - eval_slocc(mon, states)) <= 1e-10 * scale
+
+
+def _cycle_types(mon):
+    return [sorted(len(c) for c in cycle_decomposition(p)) for p in mon.perms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(2, 6)).flatmap(lambda s: monomial(*s, 2)),
+       st.integers(0, 2**32 - 1))
+# a relocation that moves a cycle onto a block with other labels breaks (c)
+@example(TraceMonomial(labels=(0, 0, 0, 1), perms=((0, 1, 3, 2), (2, 3, 0, 1))), 0)
+def test_factorize_identities(mon, seed):
+    res = factorize(mon)
+    assume(res.reducible)
+    f = res.factored
+    # (a) the factored monomial is a sibling: same labels, same cycle types
+    assert f.labels == mon.labels
+    assert _cycle_types(f) == _cycle_types(mon)
+    rng = np.random.default_rng(seed)
+    n = mon.n_rows
+    dims = Dims((2,) * n)
+    # (b) the product identity, on generic operators
+    ops = OperatorTuple(dims, (_unit(rng, 2**n), _unit(rng, 2**n)))
+    assert close(eval_contract(f, ops), eval_contract(res.left, ops) * eval_contract(res.right, ops))
+    # (c) on product operators a monomial's value depends only on each row's
+    # cycle label-words, which a label-preserving relocation keeps
+    ops = OperatorTuple(dims, tuple(kron([_unit(rng, 2) for _ in range(n)]) for _ in range(2)))
+    assert close(eval_contract(f, ops), eval_contract(mon, ops))
 
 
 def _boxes(ell, rows=1):
@@ -92,11 +161,10 @@ def _reference_at_envelope(k, monkeypatch):
 
 
 def _contract_at_subscripts(k, monkeypatch):
-    # 26 rows of two boxes use all 52 subscripts; 53 rows of one box need one
-    # more (numpy arrays have at most 64 axes, so rows of one box stop at 32)
-    rows, ell = (26, 2) if k == 0 else (53, 1)
-    assert rows * ell == EINSUM_MAX_SUBSCRIPTS + k
-    eval_contract(_boxes(ell, rows=rows), _eye((1,) * rows))
+    # only rows with d > 1 take subscripts, so one d = 2 row of ell boxes
+    # uses ell of them; the box cap is moved out of the way
+    monkeypatch.setattr(traceinv.evaluate, "MAX_BOXES", EINSUM_MAX_SUBSCRIPTS + 1)
+    eval_contract(_boxes(EINSUM_MAX_SUBSCRIPTS + k), _eye((2,)))
 
 
 #: One probe per check site: ``probe(k, monkeypatch)`` makes a request whose
