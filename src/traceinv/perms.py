@@ -17,6 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import factorial
+from numbers import Integral
 
 from .core import as_dims
 from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_size
@@ -286,9 +287,9 @@ def enumerate_monomials(
     is returned: the lexicographically least member, which is what
     ``canonical_form`` returns.  With ``canonical=False`` the raw product
     listing is returned (every (P, sigma) pair, no dedup).  ``girth_cap`` is
-    an optional per-row cap on the maximum cycle length; ``connected_only``
-    keeps only monomials whose contraction network is connected (the rest are
-    products of smaller ones).  Output is sorted by degree, then by
+    an optional per-row cap on the maximum cycle length, each an integer
+    >= 1; ``connected_only`` keeps only monomials whose contraction network
+    is connected (the rest are products of smaller ones).  Output is sorted by degree, then by
     ``(labels, perms)``, so it is deterministic.
 
     The canonical listing is generated in that order, without a dedup set
@@ -307,8 +308,8 @@ def enumerate_monomials(
     check_size("max_degree", max_degree, MAX_DEGREE)
     if girth_cap is not None:
         girth_cap = tuple(girth_cap)
-        if len(girth_cap) != n:
-            raise ValueError(f"girth_cap must have one entry per row, got {girth_cap}")
+        if len(girth_cap) != n or not all(isinstance(c, Integral) and c >= 1 for c in girth_cap):
+            raise ValueError(f"girth_cap must have one integer >= 1 per row, got {girth_cap}")
 
     work = sum(factorial(ell) ** n * m**ell for ell in range(1, max_degree + 1))
     check_size("enumeration candidates (reduce max_degree, n or m)", work, ENUM_BUDGET)

@@ -207,6 +207,13 @@ class TestEnumerate:
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "-n", "4", "-m", "3", "--max-degree", "6"]) == 3
 
+    def test_girth_cap_below_one_exit_code(self, capsys):
+        code = main(["enumerate", "-n", "2", "-m", "1", "--max-degree", "3", "--girth-cap", "0,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "girth_cap" in captured.err
+
 
 class TestBounds:
     def test_slocc(self, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from traceinv import (
     UnsupportedSizeError,
     conjugate_local,
     cycle_decomposition,
+    embed_state,
     eval_contract,
     eval_reference,
     factorize,
     kron,
+    parse_perm_tuple,
     partial_trace,
     random_density,
     random_local_invertible,
@@ -213,6 +217,76 @@ class TestEnvelopes:
         mon = TraceMonomial(labels=(0, 1, 1, 0), perms=((1, 2, 3, 0),) * 12 + ((0, 2, 1, 3),))
         a, b = eval_contract(mon, ops), eval_reference(mon, ops)
         assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
+
+def parse_mon(labels, perms):
+    labels = tuple(int(x) - 1 for x in labels.split(","))
+    return TraceMonomial(labels=labels, perms=parse_perm_tuple(perms, len(labels)))
+
+
+def planned_einsum(mon, ops):
+    """The arguments of the einsum call ``eval_contract`` makes, recorded by a
+    stub so that no contraction runs."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "einsum", lambda *args, **kwargs: calls.append((args, kwargs)) or 0j)
+        eval_contract(mon, ops)
+    [(args, kwargs)] = calls
+    return args, kwargs
+
+
+def planned_path(mon, ops):
+    """The contraction path and planned FLOPs of ``eval_contract`` on these inputs."""
+    args, kwargs = planned_einsum(mon, ops)
+    path, report = np.einsum_path(*args, optimize=kwargs["optimize"])
+    flops = float(re.search(r"Optimized FLOP count:\s*(\S+)", report).group(1))
+    return path[1:], flops
+
+
+# networks whose greedy path under numpy's default intermediate cap (the
+# largest input) ends in a naive contraction of three or more boxes
+NAIVE_AT_DEFAULT_CAP = [
+    ((2, 3), parse_mon("1,1,1,1", "(1 2)(3 4);(1 3 2 4)")),
+    ((2, 2, 2), parse_mon("1,1,1,1", "(1 2)(3 4);(1 3)(2 4);(1 4)(2 3)")),
+]
+J034 = parse_mon("2,2,2,1", "(1 3 2);(1 4 2);(1 2 3 4);(1 3 2 4);(1 3)(2 4);(1 2)(3 4)")
+
+
+class TestContractionPlan:
+    @pytest.mark.parametrize(
+        "sizes, mon", NAIVE_AT_DEFAULT_CAP + [((2,) * 6, J034)], ids=["2x3", "2x2x2", "j034"]
+    )
+    def test_every_step_pairwise(self, sizes, mon):
+        dims = Dims(sizes)
+        ops = OperatorTuple(dims, (np.eye(dims.total),) * mon.n_boxes)
+        path, _ = planned_path(mon, ops)
+        assert all(len(step) <= 2 for step in path), path
+
+    @pytest.mark.parametrize("sizes", [(2,) * 6, (4, 4, 4), (8, 8)], ids=["2^6", "4x4x4", "8x8"])
+    def test_planned_flops_at_envelope_corner(self, sizes):
+        # eight boxes at D = 64; a naive step here plans up to 2.3e15 FLOPs
+        rng = np.random.default_rng(64)
+        dims = Dims(sizes)
+        ops = OperatorTuple(dims, (np.eye(dims.total),))
+        for _ in range(20):
+            _, flops = planned_path(random_mon(rng, dims.n, 1, 8), ops)
+            assert flops < 1e10
+
+    @pytest.mark.parametrize("sizes, mon", NAIVE_AT_DEFAULT_CAP, ids=["2x3", "2x2x2"])
+    def test_values_match_reference(self, sizes, mon):
+        rng = np.random.default_rng(65)
+        ops = random_ops(rng, Dims(sizes), 1)
+        a, b = eval_contract(mon, ops), eval_reference(mon, ops)
+        assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
+    def test_j034_matches_naive_contraction(self):
+        rng = np.random.default_rng(66)
+        states = [crandn(rng, 64) for _ in range(2)]
+        ops = OperatorTuple(Dims((2,) * 6), tuple(embed_state(v / np.linalg.norm(v)) for v in states))
+        args, _ = planned_einsum(J034, ops)
+        want = np.einsum(*args, optimize=False)
+        got = eval_contract(J034, ops)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestFactorize:

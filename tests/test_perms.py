@@ -207,6 +207,10 @@ class TestEnumerate:
             enumerate_monomials(0, 1, 2)
         with pytest.raises(ValueError):
             enumerate_monomials(2, 1, 2, girth_cap=(3,))
+        # caps are integers >= 1; below 1 no permutation fits and the listing is empty
+        for cap in [(0, 0), (1, 0), (-1, 2), (1.5, 2)]:
+            with pytest.raises(ValueError):
+                enumerate_monomials(2, 1, 3, girth_cap=cap)
 
     def test_deterministic(self):
         a = enumerate_monomials(2, 2, 3, connected_only=True)
