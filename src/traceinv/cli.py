@@ -3,14 +3,15 @@
 Subcommands: eval, slocc-eval, compare, enumerate, bounds, factorize,
 random, render.  Labels and cycle notation on the command line are
 1-based.  Exit codes: 0 success (or indistinguishable), 1 separated,
-2 bad usage or malformed input, 3 input exceeds a size envelope,
-4 internal error.  The environment variable TRACEINV_TOL overrides the
-default comparison tolerance.
+2 bad usage or malformed input, 3 input exceeds a size envelope or the
+available memory, 4 internal error.  The environment variable
+TRACEINV_TOL overrides the default comparison tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Dims, OperatorTuple, check_tol, random_density
 from .diagram import render_svg
 from .equivalence import decide_lu_equiv, lu_degree_bound, slocc_degree_bound
-from .errors import UnsupportedSizeError
+from .errors import MAX_BOUND_DIGITS, UnsupportedSizeError, check_size
 from .evaluate import eval_contract, eval_reference, factorize
 from .perms import TraceMonomial, enumerate_monomials, parse_perm_tuple
 from .slocc import eval_slocc
@@ -126,16 +127,24 @@ def _cmd_enumerate(args):
     return 0
 
 
+def _decimal_digits(v):
+    """Number of decimal digits of the int v >= 1, without making a string."""
+    k = int(math.log10(v)) + 1  # off by one only next to a power of ten
+    return k + (v >= 10**k) - (v < 10 ** (k - 1))
+
+
 def _cmd_bounds(args):
     if args.lu:
         if not args.dims:
             raise ValueError("--lu needs --dims")
         dims = Dims(tuple(int(x) for x in args.dims.split(",")))
-        print(lu_degree_bound(dims, m=args.m))
+        bound = lu_degree_bound(dims, m=args.m)
     else:
         if args.n is None:
             raise ValueError("--slocc needs -n")
-        print(slocc_degree_bound(args.n, m=args.m))
+        bound = slocc_degree_bound(args.n, m=args.m)
+    check_size("decimal digits of the bound", _decimal_digits(bound), MAX_BOUND_DIGITS)
+    print(bound)
     return 0
 
 
@@ -249,6 +258,9 @@ def main(argv=None) -> int:
         return handler(args)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a valid request too big for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,9 @@ CONTRACT_MAX_DIM = 64
 #: eval_contract names ell bonds per row with d > 1; numpy's einsum has 52 subscript letters.
 EINSUM_MAX_SUBSCRIPTS = 52
 
+#: Python converts an int of at most 4300 digits to a string by default; cap printed bounds.
+MAX_BOUND_DIGITS = 4300
+
 
 class UnsupportedSizeError(Exception):
     """Raised when an input is valid but exceeds the supported size envelope.

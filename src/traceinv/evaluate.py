@@ -16,7 +16,13 @@ limit is the largest input, D^2: when no pairwise step fits under it, greedy
 contracts all remaining boxes in one naive loop, which at D = 64 can cost
 1e15 FLOPs.  With room for D^4, every network sampled at eight boxes and
 D = 64 was contracted pairwise throughout, along the path greedy takes with
-no limit at all (README, "Envelopes").
+no limit at all (README, "Envelopes").  The path depends only on the
+network, (perms, dims), never on labels or matrix values, so ``_plan``
+computes it once per network and an LRU cache of 2**14 networks keeps it.
+A repeated network costs about half an uncached call; a new one costs
+slightly more, since numpy re-reads the explicit path.  The gain needs a
+network evaluated more than once in one process, as in ``decide_lu_equiv``
+(each monomial on both tuples) or repeated walks.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -79,6 +86,33 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     return complex(term.sum())
 
 
+# Keyed by (perms, dims) alone, so one entry serves every label pattern and
+# every matrix tuple.  The bound covers the largest walk the envelopes admit:
+# enumerating (n=3, m=1, degree 5) meets 15,460 distinct networks, and a
+# smaller cache would miss on every call of such a walk.  An entry of that
+# walk takes about 1.1 KB, so a full cache holds about 19 MB.
+@lru_cache(maxsize=2**14)
+def _plan(perms, sizes):
+    """Box shape, interleaved subscripts per box and einsum path of a network.
+
+    The path depends only on shapes, so it is planned on zero-stride stand-in
+    boxes.
+    """
+    ell = len(perms[0])
+    rows = [i for i, d in enumerate(sizes) if d > 1]
+    shape = tuple(sizes[i] for i in rows) * 2
+    inv = [invert_perm(perms[i]) for i in rows]
+    n = len(rows)
+    subs = tuple(
+        tuple(k * ell + inv[k][j] for k in range(n)) + tuple(k * ell + j for k in range(n))
+        for j in range(ell)
+    )
+    box = np.broadcast_to(0j, shape)
+    interleaved = [x for s in subs for x in (box, s)]
+    path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", prod(sizes) ** 4))
+    return shape, subs, path
+
+
 def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     """Tensor-network engine: einsum over one tensor per box.
 
@@ -90,23 +124,29 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     intermediate capped at D^4 elements rather than numpy's default cap, the
     largest input (D^2), under which greedy can fall back to one naive
     contraction of the remaining boxes.
+
+    The path is planned once per network and cached, keyed by (perms, dims)
+    only: labels and matrix values do not enter it, so evaluating one
+    monomial on two tuples, or two monomials that differ only in labels,
+    plans once.  The cache holds 2**14 networks (about 19 MB when full).  A
+    hit skips numpy's greedy search and costs about half an uncached call; a
+    miss costs slightly more than an uncached call, since numpy re-reads the
+    explicit path on execution.  Values are bit-identical either way: numpy
+    runs the same pairwise steps.  Sizes are checked before the lookup, so
+    nothing out of the envelopes is planned or cached.
     """
     _check_compat(mon, ops)
     dims = ops.dims
     ell = mon.n_boxes
     check_size("contraction engine boxes", ell, MAX_BOXES)
     check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
-    rows = [i for i, d in enumerate(dims.sizes) if d > 1]
-    check_size("einsum subscripts (rows with d > 1, times ell)", len(rows) * ell,
-               EINSUM_MAX_SUBSCRIPTS)
-    shape = tuple(dims.sizes[i] for i in rows) * 2
-    inv = [invert_perm(mon.perms[i]) for i in rows]
-    n = len(rows)
+    check_size("einsum subscripts (rows with d > 1, times ell)",
+               sum(d > 1 for d in dims.sizes) * ell, EINSUM_MAX_SUBSCRIPTS)
+    shape, subs, path = _plan(mon.perms, dims.sizes)
     operands = []
-    for j in range(ell):
-        subs = [k * ell + inv[k][j] for k in range(n)] + [k * ell + j for k in range(n)]
-        operands += [ops.matrices[mon.labels[j]].reshape(shape), subs]
-    return complex(np.einsum(*operands, [], optimize=("greedy", dims.total**4)))
+    for label, s in zip(mon.labels, subs):
+        operands += [ops.matrices[label].reshape(shape), s]
+    return complex(np.einsum(*operands, [], optimize=path))
 
 
 @dataclass(frozen=True)

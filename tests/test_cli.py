@@ -227,6 +227,28 @@ class TestBounds:
     def test_lu_needs_dims(self, capsys):
         assert main(["bounds", "--lu"]) == 2
 
+    # the largest bounds that still print have 4298 (--slocc -n 281) and
+    # 4295 (--lu, 585 qubits) digits; one step up passes MAX_BOUND_DIGITS
+    @pytest.mark.parametrize("n, rc", [(281, 0), (282, 3)])
+    def test_slocc_digit_boundary(self, capsys, n, rc):
+        assert main(["bounds", "--slocc", "-n", str(n)]) == rc
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert len(captured.out.strip()) == 4298
+        else:
+            assert captured.out == ""
+            assert "exceeds the supported limit 4300" in captured.err
+
+    @pytest.mark.parametrize("n, rc", [(585, 0), (586, 3)])
+    def test_lu_digit_boundary(self, capsys, n, rc):
+        assert main(["bounds", "--lu", "--dims", ",".join(["2"] * n)]) == rc
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert len(captured.out.strip()) == 4295
+        else:
+            assert captured.out == ""
+            assert "exceeds the supported limit 4300" in captured.err
+
 
 class TestFactorize:
     def test_factors(self, capsys):
@@ -315,3 +337,14 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal error: RuntimeError: wires crossed" in captured.err
+
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys):
+        # a valid request too big for the machine is a size problem, not a bug
+        def huge(args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "_cmd_random", huge)
+        assert main(["random", "--dims", "100000", "--out", "never.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: out of memory: Unable to allocate 74.5 GiB" in captured.err

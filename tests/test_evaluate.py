@@ -21,6 +21,7 @@ from traceinv import (
     random_local_invertible,
     random_local_unitary,
 )
+from traceinv.evaluate import _plan
 
 ENGINES = [eval_reference, eval_contract]
 
@@ -287,6 +288,69 @@ class TestContractionPlan:
         want = np.einsum(*args, optimize=False)
         got = eval_contract(J034, ops)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def interleaved(mon, ops):
+    """The network of ``mon`` on ``ops`` in numpy's interleaved einsum form,
+    built here independently of ``eval_contract``: box j's column index on
+    row i is bonded to the row index of box sigma_i(j)."""
+    rows = [i for i, d in enumerate(ops.dims.sizes) if d > 1]
+    shape = tuple(ops.dims.sizes[i] for i in rows) * 2
+    ell = mon.n_boxes
+    bond = {(k, mon.perms[i][j]): k * ell + j for k, i in enumerate(rows) for j in range(ell)}
+    args = []
+    for j in range(ell):
+        subs = [bond[k, j] for k in range(len(rows))] + [k * ell + j for k in range(len(rows))]
+        args += [ops.matrices[mon.labels[j]].reshape(shape), subs]
+    return args + [[]]
+
+
+# d = 1 rows leave the network; (1, 1) leaves no index at all
+PLAN_DIMS = [(2,), (3,), (1, 2), (2, 1, 3), (2, 2), (4, 1, 2), (2, 2, 2), (1, 1)]
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("sizes", PLAN_DIMS, ids=lambda s: "x".join(map(str, s)))
+    def test_bit_identical_on_miss_and_hit(self, sizes):
+        rng = np.random.default_rng(sum(sizes) * 7 + len(sizes))
+        dims = Dims(sizes)
+        for _ in range(12):
+            m = int(rng.integers(1, 3))
+            mon = random_mon(rng, dims.n, m, int(rng.integers(1, 7)))
+            ops = random_ops(rng, dims, m)
+            want = complex(np.einsum(*interleaved(mon, ops), optimize=("greedy", dims.total**4)))
+            _plan.cache_clear()
+            assert eval_contract(mon, ops) == want
+            assert _plan.cache_info().misses == 1
+            assert eval_contract(mon, ops) == want
+            assert _plan.cache_info().hits == 1
+
+    @pytest.mark.parametrize("sizes", PLAN_DIMS, ids=lambda s: "x".join(map(str, s)))
+    def test_path_matches_real_operands(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 11 + sizes[-1])
+        dims = Dims(sizes)
+        for _ in range(12):
+            mon = random_mon(rng, dims.n, 2, int(rng.integers(1, 7)))
+            ops = random_ops(rng, dims, 2)
+            path, _ = np.einsum_path(*interleaved(mon, ops), optimize=("greedy", dims.total**4))
+            assert _plan(mon.perms, sizes)[2] == path
+
+    def test_key_is_structure_only(self):
+        rng = np.random.default_rng(67)
+        perms = ((1, 2, 0, 3), (3, 0, 1, 2))
+        mon = TraceMonomial(labels=(0, 0, 1, 1), perms=perms)
+        relabeled = TraceMonomial(labels=(0, 1, 1, 0), perms=perms)
+        _plan.cache_clear()
+        eval_contract(mon, random_ops(rng, Dims((2, 2)), 2))
+        assert _plan.cache_info()[:2] == (0, 1)
+        # other labels and other matrices: one hit, no new entry
+        eval_contract(relabeled, random_ops(rng, Dims((2, 2)), 2))
+        assert _plan.cache_info()[:2] == (1, 1)
+        assert _plan.cache_info().currsize == 1
+        # other dims: a new entry
+        eval_contract(relabeled, random_ops(rng, Dims((2, 3)), 2))
+        assert _plan.cache_info()[:2] == (1, 2)
+        assert _plan.cache_info().currsize == 2
 
 
 class TestFactorize:
