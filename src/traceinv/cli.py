@@ -3,8 +3,8 @@
 Subcommands: eval, slocc-eval, compare, enumerate, bounds, factorize,
 random, render.  Labels and cycle notation on the command line are
 1-based.  Exit codes: 0 success (or indistinguishable), 1 separated,
-2 bad usage or malformed input, 3 input exceeds a size envelope or the
-available memory, 4 internal error.  The environment variable
+2 bad usage or malformed input, 3 input exceeds a size envelope, the
+available memory or the float range, 4 internal error.  The environment variable
 TRACEINV_TOL overrides the default comparison tolerance.
 """
 

@@ -29,6 +29,7 @@ correctness check of the package.
 
 from __future__ import annotations
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +43,7 @@ from .errors import (
     EINSUM_MAX_SUBSCRIPTS,
     MAX_BOXES,
     REFERENCE_ENVELOPE,
+    UnsupportedSizeError,
     check_size,
 )
 from .perms import TraceMonomial, _component, cycle_decomposition, invert_perm
@@ -134,6 +136,11 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     explicit path on execution.  Values are bit-identical either way: numpy
     runs the same pairwise steps.  Sizes are checked before the lookup, so
     nothing out of the envelopes is planned or cached.
+
+    Every entry of an OperatorTuple is finite, so a value that is not has
+    overflowed the float range on the way.  That raises UnsupportedSizeError
+    rather than returning inf or nan: |inf - inf| > tol is False, so a
+    comparison would read two overflowed values as agreeing.
     """
     _check_compat(mon, ops)
     dims = ops.dims
@@ -146,7 +153,10 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     operands = []
     for label, s in zip(mon.labels, subs):
         operands += [ops.matrices[label].reshape(shape), s]
-    return complex(np.einsum(*operands, [], optimize=path))
+    value = complex(np.einsum(*operands, [], optimize=path))
+    if not cmath.isfinite(value):
+        raise UnsupportedSizeError(f"the value {value} overflowed the float range")
+    return value
 
 
 @dataclass(frozen=True)

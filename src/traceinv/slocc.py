@@ -7,9 +7,16 @@ on matrices, so trace monomials of embedded states are SLOCC invariants:
 polynomial in the amplitudes (degree 2 per box) and invariant under
 determinant-one local operations.  They are not invariant under global
 scaling or generic local GL factors.
+
+S is a signed anti-diagonal permutation, S[j, D-1-j] = (-1)^popcount(j), so
+the embedding is the signed outer product  outer(v, s * reverse(v))  with
+s = [1, -1] (x) ... (x) [1, -1]: O(D^2) work and no BLAS call.
+``duality_form`` builds S itself and stays the defining formula.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,16 +42,32 @@ def duality_form(n) -> np.ndarray:
     return kron([DUALITY] * n)
 
 
+# one read-only entry per qubit count seen, each half the size of one row
+# of that count's embedding
+@lru_cache(maxsize=None)
+def _signs(n) -> np.ndarray:
+    """s = [1, -1] (x) ... (x) [1, -1] (n factors): s[j] = (-1)^popcount(j)."""
+    s = np.ones(1)
+    for _ in range(n):
+        s = np.concatenate([s, -s])
+    s.flags.writeable = False
+    return s
+
+
 def embed_state(v) -> np.ndarray:
     """Embed an n-qubit amplitude vector as the matrix v v^T S^T.
+
+    Computed as the signed outer product  outer(v, s * v[::-1]),  since
+    (S^T)[D-1-k, k] = s[k] is the only nonzero entry in column k: O(D^2)
+    work, no Kronecker power and no BLAS call.  The entries equal those of
+    ``np.outer(v, v) @ duality_form(n).T``.
 
     The result has rank at most one and transforms by conjugation under
     local determinant-one operations; its plain trace is the full
     symplectic self-pairing of v (identically zero for odd n).
     """
     v = np.asarray(v, dtype=complex).ravel()
-    n = _qubit_count(v.size)
-    return np.outer(v, v) @ duality_form(n).T
+    return np.outer(v, _signs(_qubit_count(v.size)) * v[::-1])
 
 
 def eval_slocc(mon: TraceMonomial, states) -> complex:
@@ -53,17 +76,17 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
     ``states`` is a sequence of amplitude vectors, all of the same qubit
     count n = mon.n_rows; monomial labels index into it.  The value is a
     degree-2-per-box polynomial in the amplitudes, invariant under one
-    common SL(2)^n action on all states.
+    common SL(2)^n action on all states.  Qubit counts are checked before
+    anything is embedded; ``embed_state`` converts each state.
     """
-    states = [np.asarray(v, dtype=complex).ravel() for v in states]
+    states = list(states)
     if not states:
         raise ValueError("need at least one state")
     n = mon.n_rows
     for k, v in enumerate(states):
-        if _qubit_count(v.size) != n:
-            raise ValueError(
-                f"state {k} has {_qubit_count(v.size)} qubits, monomial expects {n}"
-            )
+        qubits = _qubit_count(np.size(v))
+        if qubits != n:
+            raise ValueError(f"state {k} has {qubits} qubits, monomial expects {n}")
     ops = OperatorTuple(Dims((2,) * n), tuple(embed_state(v) for v in states))
     return eval_contract(mon, ops)
 

@@ -14,6 +14,13 @@ canonical, so load/save round-trips are byte identical):
 Complex numbers are stored as [re, im] pairs.  An operator tuple's data is
 a list of row-major matrices; a pure state's data is a flat amplitude list
 with dims fixed at [2]*n.
+
+Loading checks the document's structure, then decodes each matrix, or the
+amplitude list, with one routine: a pass over the entries that checks each
+is a pair of JSON numbers, then one numpy conversion of all of them, with
+the same values bit for bit as ``complex(re, im)`` per entry.  Malformed
+input raises ValueError naming the first offending entry; so do an int too
+large for a float and JSON nested too deeply for the parser.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .core import Dims, OperatorTuple, _qubit_count
 
 FORMAT = "traceinv-state"
 VERSION = 1
+
+_NUMBER = (int, float)  # exact JSON number types; bool is not among them
 
 
 @dataclass(frozen=True)
@@ -69,17 +78,41 @@ def state_bytes(sf: StateFile) -> bytes:
     return pure_state_bytes(sf.amplitudes)
 
 
-def _as_complex(pair, what):
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-    ):
-        raise ValueError(f"{what}: expected a [re, im] number pair, got {pair!r}")
+def _as_complex(rows, what) -> np.ndarray:
+    """Decode a list of rows of [re, im] pairs into a complex array.
+
+    Every row must already be a list.  One pass checks each entry's
+    structure and exact JSON types (``json.loads`` makes only exact lists,
+    ints and floats, so an exact type test also rejects bools); a single
+    numpy conversion then decodes all entries, bit-identical to
+    ``complex(re, im)`` per entry.  An error names the first offending
+    entry, an int too large for a float included.
+    """
+    bad = next(
+        (
+            (r, c)
+            for r, row in enumerate(rows)
+            for c, pair in enumerate(row)
+            if type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) not in _NUMBER
+            or type(pair[1]) not in _NUMBER
+        ),
+        None,
+    )
+    head = rows
+    if bad is not None:
+        # an int too large for a float before it is the first offence then
+        r, c = bad
+        head = [pair for row in rows[:r] for pair in row] + rows[r][:c]
     try:
-        return complex(pair[0], pair[1])
+        values = np.array(head, dtype=float)
     except OverflowError:
         raise ValueError(f"{what}: entry too large for a float") from None
+    if bad is not None:
+        pair = rows[r][c]
+        raise ValueError(f"{what}: expected a [re, im] number pair, got {pair!r}")
+    return values.view(complex).reshape(len(rows), -1)
 
 
 def loads_state(raw: bytes | str) -> StateFile:
@@ -87,6 +120,8 @@ def loads_state(raw: bytes | str) -> StateFile:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("state file must be a JSON object")
     if doc.get("format") != FORMAT:
@@ -114,12 +149,7 @@ def loads_state(raw: bytes | str) -> StateFile:
                 not isinstance(row, list) or len(row) != D for row in M
             ):
                 raise ValueError(f"matrix {k} is not {D}x{D}")
-            mats.append(
-                np.array(
-                    [[_as_complex(z, f"matrix {k}") for z in row] for row in M],
-                    dtype=complex,
-                )
-            )
+            mats.append(_as_complex(M, f"matrix {k}"))
         return StateFile(kind=kind, dims=dims, operators=OperatorTuple(dims, tuple(mats)))
 
     if kind == "pure_state":
@@ -127,7 +157,7 @@ def loads_state(raw: bytes | str) -> StateFile:
             raise ValueError(f"pure_state dims must all be 2, got {dims.sizes}")
         if not isinstance(data, list) or len(data) != dims.total:
             raise ValueError(f"pure_state data must list {dims.total} amplitudes")
-        v = np.array([_as_complex(z, "amplitude") for z in data], dtype=complex)
+        v = _as_complex([data], "amplitude")[0]
         return StateFile(kind=kind, dims=dims, amplitudes=v)
 
     raise ValueError(f"unrecognized kind {kind!r}")

@@ -114,6 +114,17 @@ class TestEval:
         assert code == 3
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_operator_tuple(path, OperatorTuple(Dims((1,)), (np.array([[1e308]], dtype=complex),)))
+        code = main(["eval", "--state", str(path), "--labels", "1,1", "--perm", "(1 2)"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
+
+
 class TestCompare:
     def test_separated(self, tmp_path, capsys):
         a, b = diag_pair_files(tmp_path)
@@ -178,6 +189,18 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "float" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        # every invariant of both tuples overflows: not INDISTINGUISHABLE
+        dims = Dims((2,))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_operator_tuple(a, OperatorTuple(dims, (np.diag([1e308, 1e308]).astype(complex),)))
+        save_operator_tuple(b, OperatorTuple(dims, (np.diag([1e308, 1.5e308]).astype(complex),)))
+        assert main(["compare", "--a", str(a), "--b", str(b), "--max-degree", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
 
     def test_zero_tolerance(self, tmp_path, capsys):
         a, b = rank_one_vs_mixed_files(tmp_path)

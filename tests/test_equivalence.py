@@ -5,6 +5,7 @@ from traceinv import (
     Dims,
     OperatorTuple,
     TraceMonomial,
+    UnsupportedSizeError,
     conjugate_local,
     decide_lu_equiv,
     eval_contract,
@@ -132,6 +133,18 @@ class TestDecide:
             v = decide_lu_equiv(a, b, max_degree=2)
         assert not v.normal_certified
         assert not v.separated
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    def test_overflow_is_not_agreement(self):
+        # normal, with different spectra; every invariant overflows to inf,
+        # and |inf - inf| > tol is False
+        dims = Dims((2,))
+        a = OperatorTuple(dims, (np.diag([1e308, 1e308]).astype(complex),))
+        b = OperatorTuple(dims, (np.diag([1e308, 1.5e308]).astype(complex),))
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            decide_lu_equiv(a, b, max_degree=3)
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            fingerprint(a, max_degree=3)
 
     def test_dims_mismatch(self):
         a = OperatorTuple(Dims((2,)), (np.eye(2),))

@@ -253,6 +253,33 @@ NAIVE_AT_DEFAULT_CAP = [
 J034 = parse_mon("2,2,2,1", "(1 3 2);(1 4 2);(1 2 3 4);(1 3 2 4);(1 3)(2 4);(1 2)(3 4)")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflow:
+    """A non-finite value is a size error: every input entry is finite."""
+
+    def test_square_of_huge_entry(self):
+        ops = OperatorTuple(Dims((1,)), (np.array([[1e308]], dtype=complex),))
+        mon = TraceMonomial(labels=(0, 0), perms=((1, 0),))
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            eval_contract(mon, ops)
+
+    def test_trace_of_huge_diagonal(self):
+        ops = OperatorTuple(Dims((2,)), (np.diag([1e308, 1.5e308]).astype(complex),))
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            eval_contract(TraceMonomial(labels=(0,), perms=((0,),)), ops)
+
+    def test_large_finite_value_returned(self):
+        ops = OperatorTuple(Dims((1,)), (np.array([[1e154]], dtype=complex),))
+        mon = TraceMonomial(labels=(0, 0), perms=((1, 0),))
+        assert eval_contract(mon, ops) == 1e154 * 1e154
+
+    def test_overflow_of_mixed_signs(self):
+        # terms of both signs overflow: the value may be inf or nan
+        ops = OperatorTuple(Dims((2,)), (np.array([[1e308, 1e308], [-1e308, -1e308]]),))
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            eval_contract(TraceMonomial(labels=(0, 0), perms=((1, 0),)), ops)
+
+
 class TestContractionPlan:
     @pytest.mark.parametrize(
         "sizes, mon", NAIVE_AT_DEFAULT_CAP + [((2,) * 6, J034)], ids=["2x3", "2x2x2", "j034"]

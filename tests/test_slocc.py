@@ -5,13 +5,19 @@ import pytest
 
 from traceinv import (
     DUALITY,
+    Dims,
+    OperatorTuple,
     TraceMonomial,
+    UnsupportedSizeError,
     duality_form,
     embed_state,
+    eval_contract,
     eval_slocc,
     kron,
     random_sl2_tuple,
+    save_pure_state,
 )
+from traceinv.cli import format_value, main
 
 
 def crandn(rng, *shape):
@@ -36,7 +42,28 @@ def w_state():
     return v
 
 
+def structured_states(n):
+    """GHZ, W, real, purely imaginary and random complex n-qubit vectors."""
+    rng = np.random.default_rng(90 + n)
+    D = 2**n
+    g = np.zeros(D, dtype=complex)
+    g[0] = g[-1] = 1 / np.sqrt(2)
+    w = np.zeros(D, dtype=complex)
+    w[[2**k for k in range(n)]] = 1 / np.sqrt(n)
+    real = rng.standard_normal(D)
+    return {"ghz": g, "w": w, "real": real, "imag": 1j * rng.standard_normal(D),
+            "complex": crandn(rng, D)}
+
+
 class TestEmbedding:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_defining_formula(self, n):
+        S = duality_form(n)
+        for name, v in structured_states(n).items():
+            E = embed_state(v)
+            assert E.shape == (2**n, 2**n)
+            assert np.array_equal(E, np.outer(v, v) @ S.T), name
+
     def test_duality_relation(self):
         # g^T T g = det(g) T
         rng = np.random.default_rng(60)
@@ -87,6 +114,17 @@ class TestEmbedding:
 
 
 class TestEvalSlocc:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_a_size_error(self):
+        # every embedded entry is finite (about 1e200), but the degree-2
+        # value is not: inf would agree with any other overflow
+        v = np.zeros(4, dtype=complex)
+        v[0] = v[3] = 1e100
+        mon = TraceMonomial(labels=(0, 0), perms=((1, 0), (1, 0)))
+        assert np.isfinite(embed_state(v)).all()
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            eval_slocc(mon, [v])
+
     def test_bell_unit_value(self):
         mon = TraceMonomial(labels=(0,), perms=((0,), (0,)))
         assert abs(eval_slocc(mon, [bell()]) - 1) < 1e-12
@@ -148,6 +186,17 @@ class TestEvalSlocc:
         val2 = eval_slocc(mon, [v, u])
         assert abs(val - val2) < 1e-10 * (1 + abs(val))
 
+    def test_tensor_and_list_states(self):
+        # qubit counts are read before embed_state converts each state
+        v = crandn(np.random.default_rng(69), 8)
+        mon = TraceMonomial(labels=(0, 0), perms=((1, 0), (0, 1), (1, 0)))
+        value = eval_slocc(mon, [v])
+        assert eval_slocc(mon, [v.reshape(2, 2, 2)]) == value
+        assert eval_slocc(mon, [list(v)]) == value
+        assert eval_slocc(mon, (u for u in [v])) == value
+        with pytest.raises(ValueError, match="state 1 has 2 qubits"):
+            eval_slocc(mon, [v, list(v[:4])])
+
     def test_qubit_count_mismatch(self):
         mon = TraceMonomial(labels=(0,), perms=((0,), (0,)))
         with pytest.raises(ValueError):
@@ -173,3 +222,45 @@ class TestRandomSl2:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             random_sl2_tuple(0)
+
+
+class TestSloccEvalOutput:
+    """CLI text is that of the defining formula, signed zeros included."""
+
+    @pytest.mark.parametrize("name", ["ghz", "w", "real", "imag", "complex"])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_odd_qubit_trace(self, tmp_path, capsys, n, name):
+        # the one-box trace of an odd-n state is zero in exact arithmetic
+        v = structured_states(n)[name]
+        path = tmp_path / "psi.json"
+        save_pure_state(path, v)
+        perm = ";".join(["()"] * n)
+        assert main(["slocc-eval", "--state", str(path), "--labels", "1", "--perm", perm]) == 0
+        out = capsys.readouterr().out
+        mon = TraceMonomial(labels=(0,), perms=((0,),) * n)
+        defining = np.outer(v, v) @ duality_form(n).T
+        expect = eval_contract(mon, OperatorTuple(Dims((2,) * n), (defining,)))
+        assert out == format_value(expect) + "\n"
+        if name in ("ghz", "w"):
+            assert out == "0.000000000000000\n"
+
+    def test_w_degree_two_prints_positive_zero(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        save_pure_state(path, w_state())
+        code = main(["slocc-eval", "--state", str(path), "--labels", "1,1",
+                     "--perm", "(1 2);();(1 2)"])
+        assert code == 0
+        assert capsys.readouterr().out == "0.000000000000000\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        v = np.zeros(4, dtype=complex)
+        v[0] = v[3] = 1e100
+        path = tmp_path / "big.json"
+        save_pure_state(path, v)
+        code = main(["slocc-eval", "--state", str(path), "--labels", "1,1",
+                     "--perm", "(1 2);(1 2)"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
