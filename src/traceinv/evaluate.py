@@ -18,11 +18,14 @@ contracts all remaining boxes in one naive loop, which at D = 64 can cost
 D = 64 was contracted pairwise throughout, along the path greedy takes with
 no limit at all (README, "Envelopes").  The path depends only on the
 network, (perms, dims), never on labels or matrix values, so ``_plan``
-computes it once per network and an LRU cache of 2**14 networks keeps it.
-A repeated network costs about half an uncached call; a new one costs
-slightly more, since numpy re-reads the explicit path.  The gain needs a
-network evaluated more than once in one process, as in ``decide_lu_equiv``
-(each monomial on both tuples) or repeated walks.
+computes it once per network, compiles it into a program of the steps
+numpy's einsum would take on it (a ``matmul`` or ``multiply`` per pairwise
+step, between transposes and reshapes), and an LRU cache of 2**14 networks
+keeps both.  A repeated network then skips numpy's per-call parse of the
+subscripts and the path, and costs about a fifth of an uncached
+``np.einsum`` call; a new one pays one ``einsum_path`` search and the
+compilation, about 1.4 times an uncached call.  On numpy 2.4 the values
+are bit-identical to ``np.einsum`` on the same path.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -49,15 +52,37 @@ from .errors import (
 from .perms import TraceMonomial, _component, cycle_decomposition, invert_perm
 
 
-def _check_compat(mon: TraceMonomial, ops: OperatorTuple):
-    if mon.n_rows != ops.dims.n:
+def _check_compat(mon: TraceMonomial, dims, m):
+    if mon.n_rows != dims.n:
         raise ValueError(
-            f"monomial has {mon.n_rows} rows but operators act on {ops.dims.n} subsystems"
+            f"monomial has {mon.n_rows} rows but operators act on {dims.n} subsystems"
         )
-    if max(mon.labels) >= ops.m:
+    if max(mon.labels) >= m:
         raise ValueError(
-            f"monomial labels go up to {max(mon.labels) + 1} but only {ops.m} matrices given"
+            f"monomial labels go up to {max(mon.labels) + 1} but only {m} matrices given"
         )
+
+
+def _check_network(mon: TraceMonomial, dims, m):
+    """Raise what ``eval_contract`` raises on bad or oversized input, for m
+    matrices on ``dims``; it needs no matrix, so callers that build the
+    matrices can check first."""
+    _check_compat(mon, dims, m)
+    ell = mon.n_boxes
+    check_size("contraction engine boxes", ell, MAX_BOXES)
+    check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
+    check_size("einsum subscripts (rows with d > 1, times ell)",
+               sum(d > 1 for d in dims.sizes) * ell, EINSUM_MAX_SUBSCRIPTS)
+
+
+def _finite(value: complex) -> complex:
+    """Every entry of an OperatorTuple is finite, so a value that is not has
+    overflowed the float range on the way.  That raises UnsupportedSizeError
+    rather than returning inf or nan: |inf - inf| > tol is False, so a
+    comparison would read two overflowed values as agreeing."""
+    if not cmath.isfinite(value):
+        raise UnsupportedSizeError(f"the value {value} overflowed the float range")
+    return value
 
 
 def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
@@ -69,9 +94,10 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     the row of box sigma_i(j)).  The value is the sum over all assignments
     of the product of the selected matrix entries.
 
-    Cost is O(D^ell * ell), so inputs are capped at D^ell <= 4096.
+    Cost is O(D^ell * ell), so inputs are capped at D^ell <= 4096.  A value
+    that overflowed raises UnsupportedSizeError, as in ``eval_contract``.
     """
-    _check_compat(mon, ops)
+    _check_compat(mon, ops.dims, ops.m)
     dims = ops.dims
     D = dims.total
     ell = mon.n_boxes
@@ -85,20 +111,24 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
             comp = (y[mon.perms[i][j]] // strides[i]) % dims.sizes[i]
             z += comp * strides[i]
         term *= ops.matrices[mon.labels[j]][y[j], z]
-    return complex(term.sum())
+    return _finite(complex(term.sum()))
 
 
 # Keyed by (perms, dims) alone, so one entry serves every label pattern and
 # every matrix tuple.  The bound covers the largest walk the envelopes admit:
 # enumerating (n=3, m=1, degree 5) meets 15,460 distinct networks, and a
-# smaller cache would miss on every call of such a walk.  An entry of that
-# walk takes about 1.1 KB, so a full cache holds about 19 MB.
+# smaller cache would miss on every call of such a walk.
 @lru_cache(maxsize=2**14)
 def _plan(perms, sizes):
-    """Box shape, interleaved subscripts per box and einsum path of a network.
+    """Box shape, interleaved subscripts per box, einsum path and step
+    program of a network.
 
     The path depends only on shapes, so it is planned on zero-stride stand-in
-    boxes.
+    boxes.  The program replays it as numpy's einsum would: each step is
+    (positions, run, args), and ``run(args, *operands)`` replaces the
+    operands at ``positions``, popped in that order, by one result appended
+    at the end.  numpy names an intermediate's indices in order of
+    (dimension, subscript), and the last step yields the scalar.
     """
     ell = len(perms[0])
     rows = [i for i, d in enumerate(sizes) if d > 1]
@@ -112,11 +142,90 @@ def _plan(perms, sizes):
     box = np.broadcast_to(0j, shape)
     interleaved = [x for s in subs for x in (box, s)]
     path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", prod(sizes) ** 4))
-    return shape, subs, path
+    dim = {x: d for s in subs for x, d in zip(s, shape)}
+    terms = list(subs)
+    steps = []
+    for step in path[1:]:
+        positions = tuple(sorted(step, reverse=True))
+        ins = [terms.pop(p) for p in positions]
+        out = tuple(sorted(set().union(*ins) & set().union(*terms), key=lambda x: (dim[x], x)))
+        terms.append(out)
+        steps.append((positions, *_step(ins, out, dim)))
+    return shape, subs, path, tuple(steps)
+
+
+def _step(ins, out, dim):
+    """(run, args) of one contraction step, as numpy 2.4's einsum runs it.
+
+    Two operands with a contracted index meet in one ``matmul``: the left
+    operand (the higher position) is laid out as (kept + contracted), the
+    right as (contracted + kept), the contracted indices in the order the
+    left operand lists them.  Every subscript names one bond, so it occurs
+    twice in the network: no index is both shared and kept, and one that
+    repeats within an operand (a trace) is neither.  Two
+    operands with nothing to contract are multiplied with size-1 axes
+    inserted.  Any other step is a plain einsum.
+    """
+    if len(ins) != 2:
+        return _einsum_step, (ins, out)
+    a, b = ins
+    con = [x for x in a if x in b and x not in out]
+    if not con:
+        return _multiply_step, tuple(
+            _prep(t, [x for x in out if x in t], [dim[x] if x in t else 1 for x in out])
+            for t in (a, b)
+        )
+    a_keep = [x for x in a if x in out]
+    b_keep = [x for x in b if x in out]
+    kept = a_keep + b_keep
+    con_size = prod(dim[x] for x in con)
+    return _matmul_step, (
+        _prep(a, a_keep + con, (prod(dim[x] for x in a_keep), con_size)),
+        _prep(b, con + b_keep, (con_size, prod(dim[x] for x in b_keep))),
+        tuple(dim[x] for x in kept),
+        None if tuple(kept) == out else tuple(map(kept.index, out)),
+    )
+
+
+def _prep(term, want, shape):
+    """(trace, axes, shape) bringing an operand with indices ``term`` to the
+    indices ``want``, then to ``shape``.  A repeated index (a fixed point of
+    a row) is traced out by a plain einsum; otherwise a transpose will do."""
+    want = tuple(want)
+    if term == want:
+        return None, None, shape
+    if len(set(term)) < len(term):
+        return (term, want), None, shape
+    return None, tuple(map(term.index, want)), shape
+
+
+def _prepared(x, prep):
+    trace, axes, shape = prep
+    if trace is not None:
+        x = np.einsum(x, *trace)
+    elif axes is not None:
+        x = x.transpose(axes)
+    return x.reshape(shape)
+
+
+def _matmul_step(args, a, b):
+    prep_a, prep_b, shape, axes = args
+    ab = np.matmul(_prepared(a, prep_a), _prepared(b, prep_b)).reshape(shape)
+    return ab if axes is None else ab.transpose(axes)
+
+
+def _multiply_step(args, a, b):
+    prep_a, prep_b = args
+    return np.multiply(_prepared(a, prep_a), _prepared(b, prep_b))
+
+
+def _einsum_step(args, *operands):
+    terms, out = args
+    return np.einsum(*[x for pair in zip(operands, terms) for x in pair], out)
 
 
 def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
-    """Tensor-network engine: einsum over one tensor per box.
+    """Tensor-network engine: a contraction of one tensor per box.
 
     Each box has a row and a column axis per subsystem of dimension d > 1;
     subsystems with d = 1 carry no index and are dropped from the network.
@@ -127,36 +236,27 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     largest input (D^2), under which greedy can fall back to one naive
     contraction of the remaining boxes.
 
-    The path is planned once per network and cached, keyed by (perms, dims)
-    only: labels and matrix values do not enter it, so evaluating one
-    monomial on two tuples, or two monomials that differ only in labels,
-    plans once.  The cache holds 2**14 networks (about 19 MB when full).  A
-    hit skips numpy's greedy search and costs about half an uncached call; a
-    miss costs slightly more than an uncached call, since numpy re-reads the
-    explicit path on execution.  Values are bit-identical either way: numpy
-    runs the same pairwise steps.  Sizes are checked before the lookup, so
-    nothing out of the envelopes is planned or cached.
-
-    Every entry of an OperatorTuple is finite, so a value that is not has
-    overflowed the float range on the way.  That raises UnsupportedSizeError
-    rather than returning inf or nan: |inf - inf| > tol is False, so a
-    comparison would read two overflowed values as agreeing.
+    The path is planned once per network and compiled into a step program,
+    cached and keyed by (perms, dims) only: labels and matrix values do not
+    enter it, so evaluating one monomial on two tuples, or two monomials
+    that differ only in labels, plans once.  The cache holds 2**14 networks.
+    The program runs each pairwise step as one ``matmul`` (or ``multiply``)
+    between transposes and reshapes, the steps numpy 2.4's einsum takes on
+    that path, without numpy's per-call parse of the subscripts and path.  A
+    hit costs about a fifth of an uncached ``np.einsum`` call; a miss pays
+    one ``einsum_path`` search on stand-in boxes and the compilation, about
+    1.4 times an uncached call.  On numpy 2.4 values are bit-identical to
+    ``np.einsum`` on the same path; older numpy orders its steps' sums
+    differently, and agrees to rounding.  Sizes are checked before the
+    lookup, so nothing out of the envelopes is planned or cached.  A value that overflowed the
+    float range raises UnsupportedSizeError (see ``_finite``).
     """
-    _check_compat(mon, ops)
-    dims = ops.dims
-    ell = mon.n_boxes
-    check_size("contraction engine boxes", ell, MAX_BOXES)
-    check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
-    check_size("einsum subscripts (rows with d > 1, times ell)",
-               sum(d > 1 for d in dims.sizes) * ell, EINSUM_MAX_SUBSCRIPTS)
-    shape, subs, path = _plan(mon.perms, dims.sizes)
-    operands = []
-    for label, s in zip(mon.labels, subs):
-        operands += [ops.matrices[label].reshape(shape), s]
-    value = complex(np.einsum(*operands, [], optimize=path))
-    if not cmath.isfinite(value):
-        raise UnsupportedSizeError(f"the value {value} overflowed the float range")
-    return value
+    _check_network(mon, ops.dims, ops.m)
+    shape, _, _, steps = _plan(mon.perms, ops.dims.sizes)
+    operands = [ops.matrices[label].reshape(shape) for label in mon.labels]
+    for positions, run, args in steps:
+        operands.append(run(args, *[operands.pop(p) for p in positions]))
+    return _finite(complex(operands[0]))
 
 
 @dataclass(frozen=True)

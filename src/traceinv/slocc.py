@@ -28,7 +28,8 @@ from .core import (
     kron,
     random_local_invertible,
 )
-from .evaluate import eval_contract
+from .errors import UnsupportedSizeError
+from .evaluate import _check_network, eval_contract
 from .perms import TraceMonomial
 
 #: The 2x2 symplectic form; g^T T g = det(g) T for any 2x2 g.
@@ -60,14 +61,18 @@ def embed_state(v) -> np.ndarray:
     Computed as the signed outer product  outer(v, s * v[::-1]),  since
     (S^T)[D-1-k, k] = s[k] is the only nonzero entry in column k: O(D^2)
     work, no Kronecker power and no BLAS call.  The entries equal those of
-    ``np.outer(v, v) @ duality_form(n).T``.
+    ``np.outer(v, v) @ duality_form(n).T``.  Finite amplitudes whose
+    products overflow the float range raise UnsupportedSizeError.
 
     The result has rank at most one and transforms by conjugation under
     local determinant-one operations; its plain trace is the full
     symplectic self-pairing of v (identically zero for odd n).
     """
     v = np.asarray(v, dtype=complex).ravel()
-    return np.outer(v, _signs(_qubit_count(v.size)) * v[::-1])
+    embedded = np.outer(v, _signs(_qubit_count(v.size)) * v[::-1])
+    if not np.isfinite(embedded.view(float)).all() and np.isfinite(v.view(float)).all():
+        raise UnsupportedSizeError("the embedding of a state overflowed the float range")
+    return embedded
 
 
 def eval_slocc(mon: TraceMonomial, states) -> complex:
@@ -76,8 +81,9 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
     ``states`` is a sequence of amplitude vectors, all of the same qubit
     count n = mon.n_rows; monomial labels index into it.  The value is a
     degree-2-per-box polynomial in the amplitudes, invariant under one
-    common SL(2)^n action on all states.  Qubit counts are checked before
-    anything is embedded; ``embed_state`` converts each state.
+    common SL(2)^n action on all states.  Qubit counts, then labels, then
+    ``eval_contract``'s size limits are checked before anything is
+    embedded; ``embed_state`` converts each state.
     """
     states = list(states)
     if not states:
@@ -87,8 +93,9 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
         qubits = _qubit_count(np.size(v))
         if qubits != n:
             raise ValueError(f"state {k} has {qubits} qubits, monomial expects {n}")
-    ops = OperatorTuple(Dims((2,) * n), tuple(embed_state(v) for v in states))
-    return eval_contract(mon, ops)
+    dims = Dims((2,) * n)
+    _check_network(mon, dims, len(states))
+    return eval_contract(mon, OperatorTuple(dims, tuple(embed_state(v) for v in states)))
 
 
 def random_sl2_tuple(n, seed=None, max_cond=DEFAULT_MAX_COND) -> list[np.ndarray]:

@@ -118,11 +118,13 @@ class TestEval:
     def test_overflow_exit_code(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         save_operator_tuple(path, OperatorTuple(Dims((1,)), (np.array([[1e308]], dtype=complex),)))
-        code = main(["eval", "--state", str(path), "--labels", "1,1", "--perm", "(1 2)"])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "overflow" in captured.err
+        for engine in ("contract", "ref"):
+            code = main(["eval", "--state", str(path), "--labels", "1,1", "--perm", "(1 2)",
+                         "--engine", engine])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "overflow" in captured.err
 
 
 class TestCompare:

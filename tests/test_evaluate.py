@@ -1,7 +1,10 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib import NumpyVersion
 
 from traceinv import (
     Dims,
@@ -21,7 +24,7 @@ from traceinv import (
     random_local_invertible,
     random_local_unitary,
 )
-from traceinv.evaluate import _plan
+from traceinv.evaluate import _einsum_step, _multiply_step, _plan
 
 ENGINES = [eval_reference, eval_contract]
 
@@ -225,21 +228,26 @@ def parse_mon(labels, perms):
     return TraceMonomial(labels=labels, perms=parse_perm_tuple(perms, len(labels)))
 
 
-def planned_einsum(mon, ops):
-    """The arguments of the einsum call ``eval_contract`` makes, recorded by a
-    stub so that no contraction runs."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "einsum", lambda *args, **kwargs: calls.append((args, kwargs)) or 0j)
-        eval_contract(mon, ops)
-    [(args, kwargs)] = calls
-    return args, kwargs
+def interleaved(mon, ops):
+    """The network of ``mon`` on ``ops`` in numpy's interleaved einsum form,
+    built here independently of ``eval_contract``: box j's column index on
+    row i is bonded to the row index of box sigma_i(j)."""
+    rows = [i for i, d in enumerate(ops.dims.sizes) if d > 1]
+    shape = tuple(ops.dims.sizes[i] for i in rows) * 2
+    ell = mon.n_boxes
+    bond = {(k, mon.perms[i][j]): k * ell + j for k, i in enumerate(rows) for j in range(ell)}
+    args = []
+    for j in range(ell):
+        subs = [bond[k, j] for k in range(len(rows))] + [k * ell + j for k in range(len(rows))]
+        args += [ops.matrices[mon.labels[j]].reshape(shape), subs]
+    return args + [[]]
 
 
 def planned_path(mon, ops):
-    """The contraction path and planned FLOPs of ``eval_contract`` on these inputs."""
-    args, kwargs = planned_einsum(mon, ops)
-    path, report = np.einsum_path(*args, optimize=kwargs["optimize"])
+    """The contraction path ``eval_contract`` runs on these inputs, and its
+    FLOPs as numpy reports them for that path on the network above."""
+    path = _plan(mon.perms, ops.dims.sizes)[2]
+    _, report = np.einsum_path(*interleaved(mon, ops), optimize=path)
     flops = float(re.search(r"Optimized FLOP count:\s*(\S+)", report).group(1))
     return path[1:], flops
 
@@ -279,6 +287,15 @@ class TestOverflow:
         with pytest.raises(UnsupportedSizeError, match="overflow"):
             eval_contract(TraceMonomial(labels=(0, 0), perms=((1, 0),)), ops)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_both_engines(self, engine):
+        ops = OperatorTuple(Dims((1,)), (np.array([[1e308]], dtype=complex),))
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            engine(TraceMonomial(labels=(0, 0), perms=((1, 0),)), ops)
+        ops = OperatorTuple(Dims((2,)), (np.array([[1e308, 1e308], [-1e308, -1e308]]),))
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            engine(TraceMonomial(labels=(0, 0), perms=((1, 0),)), ops)
+
 
 class TestContractionPlan:
     @pytest.mark.parametrize(
@@ -311,29 +328,34 @@ class TestContractionPlan:
         rng = np.random.default_rng(66)
         states = [crandn(rng, 64) for _ in range(2)]
         ops = OperatorTuple(Dims((2,) * 6), tuple(embed_state(v / np.linalg.norm(v)) for v in states))
-        args, _ = planned_einsum(J034, ops)
-        want = np.einsum(*args, optimize=False)
+        want = np.einsum(*interleaved(J034, ops), optimize=False)
         got = eval_contract(J034, ops)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def interleaved(mon, ops):
-    """The network of ``mon`` on ``ops`` in numpy's interleaved einsum form,
-    built here independently of ``eval_contract``: box j's column index on
-    row i is bonded to the row index of box sigma_i(j)."""
-    rows = [i for i, d in enumerate(ops.dims.sizes) if d > 1]
-    shape = tuple(ops.dims.sizes[i] for i in rows) * 2
-    ell = mon.n_boxes
-    bond = {(k, mon.perms[i][j]): k * ell + j for k, i in enumerate(rows) for j in range(ell)}
-    args = []
-    for j in range(ell):
-        subs = [bond[k, j] for k in range(len(rows))] + [k * ell + j for k in range(len(rows))]
-        args += [ops.matrices[mon.labels[j]].reshape(shape), subs]
-    return args + [[]]
-
-
 # d = 1 rows leave the network; (1, 1) leaves no index at all
 PLAN_DIMS = [(2,), (3,), (1, 2), (2, 1, 3), (2, 2), (4, 1, 2), (2, 2, 2), (1, 1)]
+
+# eval_contract runs the steps numpy 2.4's einsum runs on the same path: one
+# matmul per pairwise step, the contracted indices in the left operand's
+# order.  numpy 1.24 runs them through tensordot with the contracted indices
+# sorted, so its sums run in another order and agree only to rounding.
+EINSUM_BITWISE = NumpyVersion(np.__version__) >= "2.4.0"
+
+
+def bits(z):
+    """The exact bits of a complex value, signs of zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def assert_matches_einsum(got, mon, ops):
+    """``got`` against a plain ``np.einsum`` call on the independent network,
+    planned as ``eval_contract`` plans it."""
+    want = complex(np.einsum(*interleaved(mon, ops), optimize=("greedy", ops.dims.total**4)))
+    if EINSUM_BITWISE:
+        assert bits(got) == bits(want)
+    else:
+        assert abs(got - want) <= 1e-13 * (1 + abs(want))
 
 
 class TestPlanCache:
@@ -345,12 +367,12 @@ class TestPlanCache:
             m = int(rng.integers(1, 3))
             mon = random_mon(rng, dims.n, m, int(rng.integers(1, 7)))
             ops = random_ops(rng, dims, m)
-            want = complex(np.einsum(*interleaved(mon, ops), optimize=("greedy", dims.total**4)))
             _plan.cache_clear()
-            assert eval_contract(mon, ops) == want
+            got = eval_contract(mon, ops)
             assert _plan.cache_info().misses == 1
-            assert eval_contract(mon, ops) == want
+            assert bits(eval_contract(mon, ops)) == bits(got)
             assert _plan.cache_info().hits == 1
+            assert_matches_einsum(got, mon, ops)
 
     @pytest.mark.parametrize("sizes", PLAN_DIMS, ids=lambda s: "x".join(map(str, s)))
     def test_path_matches_real_operands(self, sizes):
@@ -378,6 +400,94 @@ class TestPlanCache:
         eval_contract(relabeled, random_ops(rng, Dims((2, 3)), 2))
         assert _plan.cache_info()[:2] == (1, 2)
         assert _plan.cache_info().currsize == 2
+
+
+def step_runs(mon, sizes):
+    """The kind of each step in the program ``eval_contract`` runs."""
+    return [run for _, run, _ in _plan(mon.perms, sizes)[3]]
+
+
+def traced_operands(mon, sizes):
+    """How many operands of pairwise steps are prepared by a trace."""
+    steps = _plan(mon.perms, sizes)[3]
+    return sum(prep[0] is not None for _, run, args in steps if run is not _einsum_step
+               for prep in args[:2])
+
+
+class TestStepProgram:
+    """Each kind of step against a plain einsum call on the same path."""
+
+    @pytest.mark.parametrize("sizes, labels, perms", [
+        ((2, 3), "1,2,1,2", "(1 2);(3 4)"),
+        ((2, 2, 2), "1,1,2", "(1 2);();(2 3)"),
+        ((3, 2), "1,2,2,1,2", "(1 2 3);(4 5)"),
+        ((2, 2), "2,1,1", "();(1 3)"),
+    ], ids=["2x3", "2x2x2", "3x2", "2x2-identity-row"])
+    def test_fixed_points(self, sizes, labels, perms):
+        mon = parse_mon(labels, perms)
+        assert traced_operands(mon, sizes) > 0
+        ops = random_ops(np.random.default_rng(71), Dims(sizes), 2)
+        assert_matches_einsum(eval_contract(mon, ops), mon, ops)
+
+    @pytest.mark.parametrize("sizes, labels, perms", [
+        ((2, 2), "1,2,1,2", "(1 2)(3 4);(1 2)(3 4)"),
+        ((3, 2), "1,2", "();()"),
+        ((2, 3), "1,1,2,2,1,2", "(1 2)(3 4)(5 6);(1 2)(5 6)"),
+        ((2, 2, 2), "1,2,2", "(1 2);(1 2);()"),
+    ], ids=["two-pairs", "two-traces", "three-pairs", "pair-and-trace"])
+    def test_disconnected(self, sizes, labels, perms):
+        mon = parse_mon(labels, perms)
+        assert _multiply_step in step_runs(mon, sizes)
+        ops = random_ops(np.random.default_rng(72), Dims(sizes), 2)
+        assert_matches_einsum(eval_contract(mon, ops), mon, ops)
+
+    @pytest.mark.parametrize("sizes", PLAN_DIMS, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_one_and_two_boxes(self, sizes, ell):
+        rng = np.random.default_rng(73 + ell)
+        dims = Dims(sizes)
+        ops = random_ops(rng, dims, 2)
+        rows = [(0,)] if ell == 1 else [(0, 1), (1, 0)]
+        for perms in itertools.product(rows, repeat=dims.n):
+            for labels in itertools.product(range(2), repeat=ell):
+                mon = TraceMonomial(labels=labels, perms=perms)
+                assert len(step_runs(mon, sizes)) == 1
+                assert_matches_einsum(eval_contract(mon, ops), mon, ops)
+
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1)], ids=["1", "1x1"])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5])
+    def test_no_index_left(self, sizes, ell):
+        # every box is a scalar: three or more meet in one einsum step
+        rng = np.random.default_rng(75 + ell)
+        dims = Dims(sizes)
+        ops = random_ops(rng, dims, 2)
+        mon = random_mon(rng, dims.n, 2, ell)
+        [run] = step_runs(mon, sizes)
+        assert run is (_multiply_step if ell == 2 else _einsum_step)
+        assert_matches_einsum(eval_contract(mon, ops), mon, ops)
+
+    @pytest.mark.parametrize("sizes", [(2,) * 6, (8, 8)], ids=["2^6", "8x8"])
+    def test_eight_boxes_at_envelope_corner(self, sizes):
+        rng = np.random.default_rng(77)
+        dims = Dims(sizes)
+        ops = random_ops(rng, dims, 2)
+        for _ in range(4):
+            mon = random_mon(rng, dims.n, 2, 8)
+            assert_matches_einsum(eval_contract(mon, ops), mon, ops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_networks(self, data):
+        sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        ell = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, 3))
+        row = st.permutations(range(ell)).map(tuple)
+        mon = TraceMonomial(
+            labels=tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=ell, max_size=ell))),
+            perms=tuple(data.draw(st.lists(row, min_size=len(sizes), max_size=len(sizes)))),
+        )
+        ops = random_ops(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), Dims(sizes), m)
+        assert_matches_einsum(eval_contract(mon, ops), mon, ops)
 
 
 class TestFactorize:

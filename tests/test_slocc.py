@@ -17,6 +17,7 @@ from traceinv import (
     random_sl2_tuple,
     save_pure_state,
 )
+from traceinv import slocc
 from traceinv.cli import format_value, main
 
 
@@ -125,6 +126,21 @@ class TestEvalSlocc:
         with pytest.raises(UnsupportedSizeError, match="overflow"):
             eval_slocc(mon, [v])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_embedding_overflow_is_a_size_error(self):
+        # finite amplitudes whose products overflow: valid input, too large
+        v = np.full(4, 1e160, dtype=complex)
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            embed_state(v)
+        with pytest.raises(UnsupportedSizeError, match="overflow"):
+            eval_slocc(TraceMonomial(labels=(0,), perms=((0,), (0,))), [v])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_amplitudes_are_malformed(self):
+        v = np.array([1, np.inf, 0, 0], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_slocc(TraceMonomial(labels=(0,), perms=((0,), (0,))), [v])
+
     def test_bell_unit_value(self):
         mon = TraceMonomial(labels=(0,), perms=((0,), (0,)))
         assert abs(eval_slocc(mon, [bell()]) - 1) < 1e-12
@@ -208,6 +224,54 @@ class TestEvalSlocc:
             eval_slocc(mon, [])
 
 
+def count_embeddings(monkeypatch):
+    """Record each call of ``embed_state`` made through ``eval_slocc``."""
+    calls = []
+    real = slocc.embed_state
+    monkeypatch.setattr(slocc, "embed_state", lambda v: calls.append(np.size(v)) or real(v))
+    return calls
+
+
+class TestChecksBeforeEmbedding:
+    """Every input error is raised before any state is embedded, in the
+    order qubit count, labels, size."""
+
+    def test_too_many_qubits(self, monkeypatch):
+        calls = count_embeddings(monkeypatch)
+        mon = TraceMonomial(labels=(0,), perms=((0,),) * 8)
+        with pytest.raises(UnsupportedSizeError, match="total dimension = 256"):
+            eval_slocc(mon, [np.ones(256)])
+        assert calls == []
+        eval_slocc(TraceMonomial(labels=(0,), perms=((0,),) * 2), [bell()])
+        assert calls == [4]
+
+    def test_too_many_boxes(self, monkeypatch):
+        calls = count_embeddings(monkeypatch)
+        mon = TraceMonomial(labels=(0,) * 9, perms=(tuple(range(9)),) * 2)
+        with pytest.raises(UnsupportedSizeError, match="boxes = 9"):
+            eval_slocc(mon, [bell()])
+        assert calls == []
+
+    def test_error_order(self, monkeypatch):
+        calls = count_embeddings(monkeypatch)
+        big = np.ones(256)
+        with pytest.raises(ValueError, match="state 0 has 8 qubits, monomial expects 7"):
+            eval_slocc(TraceMonomial(labels=(0,), perms=((0,),) * 7), [big])
+        with pytest.raises(ValueError, match="labels go up to 2 but only 1 matrices"):
+            eval_slocc(TraceMonomial(labels=(0, 1), perms=((0, 1),) * 8), [big])
+        assert calls == []
+
+    def test_cli_exit_code(self, tmp_path, capsys, monkeypatch):
+        calls = count_embeddings(monkeypatch)
+        path = tmp_path / "psi8.json"
+        save_pure_state(path, np.ones(256) / 16)
+        code = main(["slocc-eval", "--state", str(path), "--labels", "1",
+                     "--perm", ";".join(["()"] * 8)])
+        assert code == 3
+        assert "total dimension = 256" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestRandomSl2:
     def test_determinant_one(self):
         for g in random_sl2_tuple(4, seed=69):
@@ -260,6 +324,16 @@ class TestSloccEvalOutput:
         save_pure_state(path, v)
         code = main(["slocc-eval", "--state", str(path), "--labels", "1,1",
                      "--perm", "(1 2);(1 2)"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_embedding_overflow_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_pure_state(path, np.full(4, 1e160, dtype=complex))
+        code = main(["slocc-eval", "--state", str(path), "--labels", "1", "--perm", "();()"])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
