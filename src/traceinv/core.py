@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import isfinite, prod
+from math import frexp, isfinite, ldexp, prod
+from operator import index
 
 import numpy as np
 
@@ -37,12 +38,13 @@ DEFAULT_MAX_COND = 50.0
 
 @dataclass(frozen=True)
 class Dims:
-    """Subsystem dimension vector (d_1, ..., d_n)."""
+    """Subsystem dimension vector (d_1, ..., d_n) of integers >= 1; numpy
+    integers are stored as ints, and floats or strings raise TypeError."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(d) for d in self.sizes))
+        object.__setattr__(self, "sizes", tuple(map(index, self.sizes)))
         if len(self.sizes) == 0:
             raise ValueError("need at least one subsystem")
         if any(d < 1 for d in self.sizes):
@@ -186,9 +188,15 @@ def is_normal(M, tol=DEFAULT_TOL) -> bool:
 
     Normality of every matrix in a tuple is what makes agreement of all
     trace-monomial invariants a conclusive equivalence certificate; for
-    non-normal tuples it is one-directional evidence only.
+    non-normal tuples it is one-directional evidence only.  M is scaled by
+    2^-e and tol by 2^-2e first, e > 0 the binary exponent of its largest
+    entry, so huge M does not overflow; that is exact unless an entry underflows.
     """
     M = np.asarray(M, dtype=complex)
+    e = frexp(max(np.max(np.abs(M.real)), np.max(np.abs(M.imag))))[1]
+    if e > 0:
+        M = M * 2.0**-e
+        tol = ldexp(tol, -2 * e)
     H = M.conj().T
     return bool(np.max(np.abs(M @ H - H @ M)) <= tol)
 

@@ -16,6 +16,7 @@ REFERENCE_ENVELOPE = 4096
 CONTRACT_MAX_DIM = 64
 
 #: eval_contract names ell bonds per row with d > 1; numpy's einsum has 52 subscript letters.
+#: Under the caps above that is at most 6 rows x 8 boxes = 48; kept for a larger CONTRACT_MAX_DIM.
 EINSUM_MAX_SUBSCRIPTS = 52
 
 #: Python converts an int of at most 4300 digits to a string by default; cap printed bounds.

@@ -16,16 +16,15 @@ limit is the largest input, D^2: when no pairwise step fits under it, greedy
 contracts all remaining boxes in one naive loop, which at D = 64 can cost
 1e15 FLOPs.  With room for D^4, every network sampled at eight boxes and
 D = 64 was contracted pairwise throughout, along the path greedy takes with
-no limit at all (README, "Envelopes").  The path depends only on the
-network, (perms, dims), never on labels or matrix values, so ``_plan``
-computes it once per network, compiles it into a program of the steps
-numpy's einsum would take on it (a ``matmul`` or ``multiply`` per pairwise
-step, between transposes and reshapes), and an LRU cache of 2**14 networks
-keeps both.  A repeated network then skips numpy's per-call parse of the
-subscripts and the path, and costs about a fifth of an uncached
-``np.einsum`` call; a new one pays one ``einsum_path`` search and the
-compilation, about 1.4 times an uncached call.  On numpy 2.4 the values
-are bit-identical to ``np.einsum`` on the same path.
+no limit at all (README, "Envelopes").  A network's envelopes (boxes, total
+dimension, subscripts) and its path depend only on (perms, dims), never on
+labels or matrix values, so ``_plan`` owns that key: it checks the
+envelopes, plans the path, compiles it into a program of the steps numpy's
+einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step,
+between transposes and reshapes), and an LRU cache of 2**14 networks keeps
+the programs.  The cache stores no call that raised, so nothing outside the
+envelopes is planned or cached, and a hit skips only checks its key has
+already passed.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -61,18 +60,6 @@ def _check_compat(mon: TraceMonomial, dims, m):
         raise ValueError(
             f"monomial labels go up to {max(mon.labels) + 1} but only {m} matrices given"
         )
-
-
-def _check_network(mon: TraceMonomial, dims, m):
-    """Raise what ``eval_contract`` raises on bad or oversized input, for m
-    matrices on ``dims``; it needs no matrix, so callers that build the
-    matrices can check first."""
-    _check_compat(mon, dims, m)
-    ell = mon.n_boxes
-    check_size("contraction engine boxes", ell, MAX_BOXES)
-    check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
-    check_size("einsum subscripts (rows with d > 1, times ell)",
-               sum(d > 1 for d in dims.sizes) * ell, EINSUM_MAX_SUBSCRIPTS)
 
 
 def _finite(value: complex) -> complex:
@@ -120,8 +107,8 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
 # smaller cache would miss on every call of such a walk.
 @lru_cache(maxsize=2**14)
 def _plan(perms, sizes):
-    """Box shape, interleaved subscripts per box, einsum path and step
-    program of a network.
+    """Check a network's size envelopes, then return its box shape and step
+    program.
 
     The path depends only on shapes, so it is planned on zero-stride stand-in
     boxes.  The program replays it as numpy's einsum would: each step is
@@ -132,26 +119,29 @@ def _plan(perms, sizes):
     """
     ell = len(perms[0])
     rows = [i for i, d in enumerate(sizes) if d > 1]
+    n = len(rows)
+    D = prod(sizes)
+    check_size("contraction engine boxes", ell, MAX_BOXES)
+    check_size("contraction engine total dimension", D, CONTRACT_MAX_DIM)
+    check_size("einsum subscripts (rows with d > 1, times ell)", n * ell, EINSUM_MAX_SUBSCRIPTS)
     shape = tuple(sizes[i] for i in rows) * 2
     inv = [invert_perm(perms[i]) for i in rows]
-    n = len(rows)
-    subs = tuple(
+    subs = [
         tuple(k * ell + inv[k][j] for k in range(n)) + tuple(k * ell + j for k in range(n))
         for j in range(ell)
-    )
+    ]
     box = np.broadcast_to(0j, shape)
     interleaved = [x for s in subs for x in (box, s)]
-    path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", prod(sizes) ** 4))
+    path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", D**4))
     dim = {x: d for s in subs for x, d in zip(s, shape)}
-    terms = list(subs)
     steps = []
     for step in path[1:]:
         positions = tuple(sorted(step, reverse=True))
-        ins = [terms.pop(p) for p in positions]
-        out = tuple(sorted(set().union(*ins) & set().union(*terms), key=lambda x: (dim[x], x)))
-        terms.append(out)
+        ins = [subs.pop(p) for p in positions]
+        out = tuple(sorted(set().union(*ins) & set().union(*subs), key=lambda x: (dim[x], x)))
+        subs.append(out)
         steps.append((positions, *_step(ins, out, dim)))
-    return shape, subs, path, tuple(steps)
+    return shape, tuple(steps)
 
 
 def _step(ins, out, dim):
@@ -236,23 +226,16 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     largest input (D^2), under which greedy can fall back to one naive
     contraction of the remaining boxes.
 
-    The path is planned once per network and compiled into a step program,
-    cached and keyed by (perms, dims) only: labels and matrix values do not
-    enter it, so evaluating one monomial on two tuples, or two monomials
-    that differ only in labels, plans once.  The cache holds 2**14 networks.
-    The program runs each pairwise step as one ``matmul`` (or ``multiply``)
-    between transposes and reshapes, the steps numpy 2.4's einsum takes on
-    that path, without numpy's per-call parse of the subscripts and path.  A
-    hit costs about a fifth of an uncached ``np.einsum`` call; a miss pays
-    one ``einsum_path`` search on stand-in boxes and the compilation, about
-    1.4 times an uncached call.  On numpy 2.4 values are bit-identical to
-    ``np.einsum`` on the same path; older numpy orders its steps' sums
-    differently, and agrees to rounding.  Sizes are checked before the
-    lookup, so nothing out of the envelopes is planned or cached.  A value that overflowed the
-    float range raises UnsupportedSizeError (see ``_finite``).
+    Raises ValueError when the rows or labels do not fit the tuple, and
+    UnsupportedSizeError past the box, total-dimension or subscript
+    envelope, or when the value overflows (see ``_finite``).  The envelope
+    is checked once per network, before it is planned and cached (module
+    docstring).  On numpy 2.4 values are bit-identical to ``np.einsum`` on
+    the same path; older numpy sums its steps in another order and agrees
+    to rounding.
     """
-    _check_network(mon, ops.dims, ops.m)
-    shape, _, _, steps = _plan(mon.perms, ops.dims.sizes)
+    _check_compat(mon, ops.dims, ops.m)
+    shape, steps = _plan(mon.perms, ops.dims.sizes)
     operands = [ops.matrices[label].reshape(shape) for label in mon.labels]
     for positions, run, args in steps:
         operands.append(run(args, *[operands.pop(p) for p in positions]))

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from math import factorial
 from numbers import Integral
+from operator import index
 
 from .core import as_dims
 from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_size
@@ -120,16 +121,17 @@ def parse_perm_tuple(text, size):
 class TraceMonomial:
     """A label vector plus one permutation per subsystem row.
 
-    labels : tuple of 0-based operator indices, one per box position.
-    perms  : tuple of n image tuples, each a permutation of range(len(labels)).
+    labels : tuple of 0-based integer operator indices, one per box position.
+    perms  : tuple of n integer image tuples, each a permutation of range(len(labels)).
+    Floats and strings raise TypeError; numpy integers are stored as ints.
     """
 
     labels: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
-        object.__setattr__(self, "perms", tuple(tuple(int(x) for x in p) for p in self.perms))
+        object.__setattr__(self, "labels", tuple(map(index, self.labels)))
+        object.__setattr__(self, "perms", tuple(tuple(map(index, p)) for p in self.perms))
         ell = len(self.labels)
         if ell == 0:
             raise ValueError("monomial needs at least one box")

@@ -29,7 +29,7 @@ from .core import (
     random_local_invertible,
 )
 from .errors import UnsupportedSizeError
-from .evaluate import _check_network, eval_contract
+from .evaluate import _check_compat, _plan, eval_contract
 from .perms import TraceMonomial
 
 #: The 2x2 symplectic form; g^T T g = det(g) T for any 2x2 g.
@@ -94,7 +94,8 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
         if qubits != n:
             raise ValueError(f"state {k} has {qubits} qubits, monomial expects {n}")
     dims = Dims((2,) * n)
-    _check_network(mon, dims, len(states))
+    _check_compat(mon, dims, len(states))
+    _plan(mon.perms, dims.sizes)  # runs the size checks; eval_contract then hits
     return eval_contract(mon, OperatorTuple(dims, tuple(embed_state(v) for v in states)))
 
 

@@ -32,6 +32,17 @@ class TestDims:
         with pytest.raises(ValueError):
             Dims(sizes)
 
+    @pytest.mark.parametrize("sizes", [(2.7, 2.2), (2.0,), ("2", "3"), "23"])
+    def test_non_integer_sizes(self, sizes):
+        # no truncation or parsing: (2.7, 2.2) would read as (2, 2)
+        with pytest.raises(TypeError):
+            Dims(sizes)
+
+    def test_numpy_integer_sizes(self):
+        d = Dims((np.int64(2), np.uint8(3)))
+        assert d.sizes == (2, 3)
+        assert all(type(x) is int for x in d.sizes)
+
 
 class TestOperatorTuple:
     def test_shape_check(self):
@@ -187,6 +198,24 @@ class TestIsNormal:
 
     def test_nilpotent(self):
         assert not is_normal(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_huge_diagonal(self):
+        # M M^H overflows unless M is scaled first
+        assert is_normal(np.diag([1e308, 5e307]))
+        assert is_normal(np.diag([1.5e308j, -1e308]))
+
+    def test_huge_nilpotent(self):
+        assert not is_normal(np.array([[0, 1e300], [0, 0]], dtype=complex))
+
+    def test_zero(self):
+        assert is_normal(np.zeros((3, 3)))
+
+    def test_tolerance_scales_with_matrix(self):
+        # scaling by a power of two keeps the answer of the unscaled test
+        M = np.array([[1, 1e-6], [0, 1]], dtype=complex)
+        for tol in (1e-13, 1e-11):
+            for k in (0, 10, 500):
+                assert is_normal(M * 2.0**k, tol * 4.0**k) == is_normal(M, tol)
 
 
 class TestRandomLocalUnitary:

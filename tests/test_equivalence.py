@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,17 @@ class TestDecide:
         with pytest.warns(UserWarning):
             v = decide_lu_equiv(a, b, max_degree=2)
         assert not v.normal_certified
+        assert not v.separated
+
+    def test_huge_normal_pair_certified(self):
+        # M M^H of a 1e160 diagonal overflows; the invariants do not
+        dims = Dims((2,))
+        a = OperatorTuple(dims, (np.diag([1e160, 2e160]).astype(complex),))
+        b = OperatorTuple(dims, (np.diag([2e160, 1e160]).astype(complex),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = decide_lu_equiv(a, b, max_degree=1)
+        assert v.normal_certified
         assert not v.separated
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")

@@ -214,7 +214,9 @@ class TestEnvelopes:
         assert eval_contract(mon, ops) == 64
 
     def test_contract_subscript_limit_reached(self):
-        # 13 rows of four boxes use exactly 52 subscripts
+        # 13 rows of four boxes would name 52 subscripts, but the 12 d = 1
+        # rows are dropped and 4 remain; the two engines agree.  The
+        # subscript boundary itself is probed in test_properties.py
         rng = np.random.default_rng(52)
         dims = Dims((1,) * 12 + (2,))
         ops = random_ops(rng, dims, 2)
@@ -243,10 +245,18 @@ def interleaved(mon, ops):
     return args + [[]]
 
 
+def plan_path(perms, sizes):
+    """The einsum path ``_plan`` compiled, read back from its steps: each
+    step pops the operands at its positions, as the path step listing them
+    in ascending order does."""
+    steps = _plan(perms, sizes)[1]
+    return ["einsum_path", *(tuple(sorted(pos)) for pos, _, _ in steps)]
+
+
 def planned_path(mon, ops):
     """The contraction path ``eval_contract`` runs on these inputs, and its
     FLOPs as numpy reports them for that path on the network above."""
-    path = _plan(mon.perms, ops.dims.sizes)[2]
+    path = plan_path(mon.perms, ops.dims.sizes)
     _, report = np.einsum_path(*interleaved(mon, ops), optimize=path)
     flops = float(re.search(r"Optimized FLOP count:\s*(\S+)", report).group(1))
     return path[1:], flops
@@ -382,7 +392,23 @@ class TestPlanCache:
             mon = random_mon(rng, dims.n, 2, int(rng.integers(1, 7)))
             ops = random_ops(rng, dims, 2)
             path, _ = np.einsum_path(*interleaved(mon, ops), optimize=("greedy", dims.total**4))
-            assert _plan(mon.perms, sizes)[2] == path
+            assert plan_path(mon.perms, sizes) == path
+
+    @pytest.mark.parametrize("sizes, ell, match", [
+        ((2,), 9, "boxes = 9"),
+        ((5, 5, 5), 1, "total dimension = 125"),
+    ], ids=["boxes", "dim"])
+    def test_oversized_network_never_cached(self, sizes, ell, match):
+        # the envelope is checked inside the cached planner, and a call that
+        # raised is not stored, so the check runs again on the next call
+        dims = Dims(sizes)
+        ops = OperatorTuple(dims, (np.eye(dims.total),))
+        mon = TraceMonomial(labels=(0,) * ell, perms=(tuple(range(ell)),) * dims.n)
+        size = _plan.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(UnsupportedSizeError, match=match):
+                eval_contract(mon, ops)
+            assert _plan.cache_info().currsize == size
 
     def test_key_is_structure_only(self):
         rng = np.random.default_rng(67)
@@ -404,12 +430,12 @@ class TestPlanCache:
 
 def step_runs(mon, sizes):
     """The kind of each step in the program ``eval_contract`` runs."""
-    return [run for _, run, _ in _plan(mon.perms, sizes)[3]]
+    return [run for _, run, _ in _plan(mon.perms, sizes)[1]]
 
 
 def traced_operands(mon, sizes):
     """How many operands of pairwise steps are prepared by a trace."""
-    steps = _plan(mon.perms, sizes)[3]
+    steps = _plan(mon.perms, sizes)[1]
     return sum(prep[0] is not None for _, run, args in steps if run is not _einsum_step
                for prep in args[:2])
 

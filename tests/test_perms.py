@@ -80,6 +80,21 @@ class TestTraceMonomial:
         with pytest.raises(ValueError):
             TraceMonomial(labels=(-1,), perms=((0,),))
 
+    @pytest.mark.parametrize("labels, perms", [
+        ((0.7, 1.2), ((1.9, 0.3),)),   # would read as labels 1,2 and (1 2)
+        ((0, 1), ((1.0, 0),)),
+        ("12", ("10",)),               # would parse to labels 2,3 and (1 2)
+        (("0",), ((0,),)),
+    ])
+    def test_non_integer_entries(self, labels, perms):
+        with pytest.raises(TypeError):
+            TraceMonomial(labels=labels, perms=perms)
+
+    def test_numpy_integer_entries(self):
+        mon = TraceMonomial(labels=np.array([0, 1]), perms=(np.array([1, 0], dtype=np.int8),))
+        assert mon == TraceMonomial(labels=(0, 1), perms=((1, 0),))
+        assert all(type(x) is int for x in mon.labels + mon.perms[0])
+
     def test_str(self):
         mon = TraceMonomial(labels=(0, 0, 1), perms=((0, 2, 1), (1, 0, 2)))
         assert str(mon) == "1,1,2 (2 3);(1 2)"

@@ -164,7 +164,12 @@ def _contract_at_subscripts(k, monkeypatch):
     # only rows with d > 1 take subscripts, so one d = 2 row of ell boxes
     # uses ell of them; the box cap is moved out of the way
     monkeypatch.setattr(traceinv.evaluate, "MAX_BOXES", EINSUM_MAX_SUBSCRIPTS + 1)
-    eval_contract(_boxes(EINSUM_MAX_SUBSCRIPTS + k), _eye((2,)))
+    try:
+        eval_contract(_boxes(EINSUM_MAX_SUBSCRIPTS + k), _eye((2,)))
+    finally:
+        # the limits are checked when a network is planned, so a plan made
+        # under the moved cap must not outlive it
+        traceinv.evaluate._plan.cache_clear()
 
 
 #: One probe per check site: ``probe(k, monkeypatch)`` makes a request whose
