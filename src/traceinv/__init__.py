@@ -11,7 +11,6 @@ from .core import (
     Dims,
     OperatorTuple,
     conjugate_local,
-    from_net_tensor,
     is_normal,
     kron,
     partial_trace,
@@ -43,7 +42,6 @@ from .perms import (
     generator_girth_cap,
     girth_of,
     is_connected,
-    network_edges,
     parse_perm,
     parse_perm_tuple,
     perm_from_cycles,
@@ -60,7 +58,7 @@ from .statefile import (
     state_bytes,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DEFAULT_TOL",
@@ -87,7 +85,6 @@ __all__ = [
     "fingerprint",
     "format_perm",
     "format_perm_tuple",
-    "from_net_tensor",
     "generator_girth_cap",
     "girth_of",
     "is_connected",
@@ -96,7 +93,6 @@ __all__ = [
     "load_state",
     "loads_state",
     "lu_degree_bound",
-    "network_edges",
     "operator_tuple_bytes",
     "parse_perm",
     "parse_perm_tuple",

@@ -28,13 +28,7 @@ from .statefile import load_state, save_operator_tuple, save_pure_state
 
 
 def _default_tol():
-    raw = os.environ.get("TRACEINV_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return check_tol(raw, "TRACEINV_TOL")
-    except ValueError:
-        raise ValueError(f"TRACEINV_TOL must be a finite number >= 0, got {raw!r}") from None
+    return check_tol(os.environ.get("TRACEINV_TOL", DEFAULT_TOL), "TRACEINV_TOL")
 
 
 def format_value(z) -> str:

@@ -20,13 +20,17 @@ DEFAULT_TOL = 1e-10
 
 
 def check_tol(tol, name="tol") -> float:
-    """Return tol as a float if it is finite and >= 0, else raise ValueError.
+    """Return tol as a float if it is finite and >= 0, else raise ValueError
+    naming ``name``, also for a value that float() cannot convert (None).
 
     A NaN or infinite tolerance makes every |a - b| > tol comparison false,
     so two clearly different values would pass as equal; a negative one
     makes every comparison true.
     """
-    value = float(tol)
+    try:
+        value = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        value = float("nan")
     if not (isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
     return value
@@ -65,6 +69,15 @@ class Dims:
 
 def as_dims(dims) -> Dims:
     return dims if isinstance(dims, Dims) else Dims(tuple(dims))
+
+
+def _subsystems(indices, n, what) -> list[int]:
+    """Sorted distinct 0-based subsystem indices, each an integer in range(n):
+    a float or a string raises TypeError, an index out of range ValueError."""
+    out = sorted(set(map(index, indices)))
+    if out and not (out[0] >= 0 and out[-1] < n):
+        raise ValueError(f"{what} indices out of range for {n} subsystems: {out}")
+    return out
 
 
 def _qubit_count(length):
@@ -114,7 +127,7 @@ def to_net_tensor(M, dims) -> np.ndarray:
     """Reshape a D x D matrix into a 2n-index tensor.
 
     Axis i is the row (output) index on subsystem i, axis n+i the column
-    (input) index on subsystem i.  ``from_net_tensor`` is the exact inverse.
+    (input) index on subsystem i.
     """
     dims = as_dims(dims)
     M = np.asarray(M, dtype=complex)
@@ -124,15 +137,6 @@ def to_net_tensor(M, dims) -> np.ndarray:
     return M.reshape(dims.sizes + dims.sizes)
 
 
-def from_net_tensor(T, dims) -> np.ndarray:
-    dims = as_dims(dims)
-    T = np.asarray(T, dtype=complex)
-    if T.shape != dims.sizes + dims.sizes:
-        raise ValueError(f"expected shape {dims.sizes + dims.sizes}, got {T.shape}")
-    D = dims.total
-    return T.reshape(D, D)
-
-
 def partial_trace(M, dims, keep) -> np.ndarray:
     """Trace out all subsystems not in ``keep``.
 
@@ -140,17 +144,16 @@ def partial_trace(M, dims, keep) -> np.ndarray:
     ----------
     M : (D, D) array_like
     dims : Dims or sequence of int
-    keep : iterable of 0-based subsystem indices to retain, in any order.
-        The result is ordered by increasing subsystem index.
+    keep : iterable of 0-based integer subsystem indices to retain, in any
+        order; repeats count once.  The result is ordered by increasing
+        subsystem index.
 
     Returns
     -------
     (D', D') ndarray with D' the product of the kept dimensions.
     """
     dims = as_dims(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= dims.n for i in keep):
-        raise ValueError(f"keep indices out of range for {dims.n} subsystems: {keep}")
+    keep = _subsystems(keep, dims.n, "keep")
     T = to_net_tensor(M, dims)
     n = dims.n
     traced = [i for i in range(n) if i not in keep]

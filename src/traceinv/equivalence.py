@@ -17,7 +17,15 @@ from math import ceil, log
 
 import numpy as np
 
-from .core import DEFAULT_TOL, OperatorTuple, as_dims, check_tol, is_normal, partial_trace
+from .core import (
+    DEFAULT_TOL,
+    OperatorTuple,
+    _subsystems,
+    as_dims,
+    check_tol,
+    is_normal,
+    partial_trace,
+)
 from .evaluate import eval_contract
 from .perms import TraceMonomial, enumerate_monomials, generator_girth_cap, identity_perm
 
@@ -48,7 +56,7 @@ def slocc_degree_bound(n, m=1) -> int:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Values of all canonical monomials up to a degree, in enumeration order."""
+    """Values of the generating monomials up to a degree, in enumeration order."""
 
     dims: tuple[int, ...]
     m: int
@@ -60,28 +68,29 @@ class Fingerprint:
         return tuple(v for _, v in self.entries)
 
 
-def _invariants(tuples, max_degree, girth_filter, connected_only):
+def _invariants(tuples, max_degree):
     """Lazily yield ``(mon, values on each tuple)`` in enumeration order.
 
-    The tuples must share dims and length; the monomials come from the first.
+    The monomials, from the first tuple (all share dims and length), are
+    the connected canonical ones with rows within ``generator_girth_cap``:
+    the others are products of these or polynomials in them.
     """
     dims = tuples[0].dims
-    cap = generator_girth_cap(dims) if girth_filter else None
     mons = enumerate_monomials(
-        dims.n, tuples[0].m, max_degree, girth_cap=cap, connected_only=connected_only
+        dims.n, tuples[0].m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
     )
     for mon in mons:
         yield mon, tuple(eval_contract(mon, ops) for ops in tuples)
 
 
-def fingerprint(ops: OperatorTuple, max_degree, girth_filter=True, connected_only=True) -> Fingerprint:
-    """Evaluate every canonical trace monomial of the tuple up to max_degree.
+def fingerprint(ops: OperatorTuple, max_degree) -> Fingerprint:
+    """Evaluate the generating trace monomials of the tuple up to max_degree.
 
-    With the girth filter on, rows are capped at the generating girth for
-    their subsystem dimension; with connected_only, product monomials are
-    skipped (their values are determined by the connected ones).
+    These are the connected canonical monomials within the generating girth
+    cap (see ``_invariants``); for other listings use ``enumerate_monomials``
+    and ``eval_contract``.
     """
-    invariants = _invariants((ops,), max_degree, girth_filter, connected_only)
+    invariants = _invariants((ops,), max_degree)
     return Fingerprint(
         dims=ops.dims.sizes,
         m=ops.m,
@@ -109,18 +118,12 @@ class Verdict:
     values: tuple[complex, complex] | None = None
 
 
-def decide_lu_equiv(
-    a: OperatorTuple,
-    b: OperatorTuple,
-    max_degree=4,
-    tol=DEFAULT_TOL,
-    girth_filter=True,
-    connected_only=True,
-) -> Verdict:
-    """Compare all canonical invariants of two operator tuples up to a degree.
+def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAULT_TOL) -> Verdict:
+    """Compare the generating invariants of two operator tuples up to a degree.
 
-    Returns a separated verdict at the first monomial (in enumeration
-    order) where |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
+    The monomials are those of ``fingerprint``.  Returns a separated
+    verdict at the first monomial (in enumeration order) where
+    |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
     indistinguishable-up-to verdict.  Tuples must share dims and length, and
     tol must be finite and >= 0.
     """
@@ -136,7 +139,7 @@ def decide_lu_equiv(
             "for local-unitary equivalence but may not be sufficient",
             stacklevel=2,
         )
-    for mon, (va, vb) in _invariants((a, b), max_degree, girth_filter, connected_only):
+    for mon, (va, vb) in _invariants((a, b), max_degree):
         if abs(va - vb) > tol * (1 + max(abs(va), abs(vb))):
             return Verdict(
                 separated=True,
@@ -153,9 +156,9 @@ def renyi_monomial(n, trace_out, q) -> TraceMonomial:
     """The trace monomial computing Tr((Tr_A rho)^q) for a single density.
 
     q boxes all holding the same operator; rows for traced-out subsystems
-    (A) carry the identity, the remaining rows one common q-cycle.
+    (A, indices in range(n)) carry the identity, the others one q-cycle.
     """
-    trace_out = set(trace_out)
+    trace_out = _subsystems(trace_out, n, "trace_out")
     cycle = tuple((j + 1) % q for j in range(q))
     perms = tuple(identity_perm(q) if i in trace_out else cycle for i in range(n))
     return TraceMonomial(labels=(0,) * q, perms=perms)
@@ -172,9 +175,7 @@ def renyi_entropy(rho, dims, trace_out, q, tol=DEFAULT_TOL) -> float:
     tol = check_tol(tol)
     if not (isinstance(q, (int, np.integer)) and q >= 2):
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    trace_out = sorted(set(int(i) for i in trace_out))
-    if any(i < 0 or i >= dims.n for i in trace_out):
-        raise ValueError(f"trace_out indices out of range for {dims.n} subsystems")
+    trace_out = _subsystems(trace_out, dims.n, "trace_out")
     if not 0 < len(trace_out) < dims.n:
         raise ValueError("trace_out must be a nonempty proper subset of the subsystems")
     rho = np.asarray(rho, dtype=complex)

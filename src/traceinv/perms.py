@@ -60,11 +60,17 @@ def cycle_decomposition(p):
 
 
 def perm_from_cycles(cycles, size):
+    """Image tuple of the product of disjoint 0-based cycles on range(size);
+    a position that appears twice raises ValueError."""
     p = list(range(size))
+    used = set()
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 0 <= a < size:
                 raise ValueError(f"cycle entry {a} out of range for size {size}")
+            if a in used:
+                raise ValueError(f"position {a} appears twice in cycles {cycles}")
+            used.add(a)
             p[a] = b
     return tuple(p)
 
@@ -175,16 +181,6 @@ def generator_girth_cap(dims):
     d*(d+1)/2 for d <= 3, d^2 otherwise.
     """
     return tuple(d * (d + 1) // 2 if d <= 3 else d * d for d in as_dims(dims).sizes)
-
-
-def network_edges(mon: TraceMonomial):
-    """Undirected edges {j, sigma_i(j)} over box positions, self-loops dropped."""
-    edges = set()
-    for p in mon.perms:
-        for j, pj in enumerate(p):
-            if j != pj:
-                edges.add((min(j, pj), max(j, pj)))
-    return edges
 
 
 def _component(perms, start):

@@ -11,22 +11,25 @@ canonical, so load/save round-trips are byte identical):
       "version": 1
     }
 
-Complex numbers are stored as [re, im] pairs.  An operator tuple's data is
-a list of row-major matrices; a pure state's data is a flat amplitude list
-with dims fixed at [2]*n.
+Complex numbers are stored as [re, im] pairs of finite numbers, so files
+are strict JSON: saving a NaN or an infinity raises ValueError.  An
+operator tuple's data is a list of row-major matrices; a pure state's data
+is a flat amplitude list with dims fixed at [2]*n.
 
 Loading checks the document's structure, then decodes each matrix, or the
 amplitude list, with one routine: a pass over the entries that checks each
 is a pair of JSON numbers, then one numpy conversion of all of them, with
 the same values bit for bit as ``complex(re, im)`` per entry.  Malformed
 input raises ValueError naming the first offending entry; so do an int too
-large for a float and JSON nested too deeply for the parser.
+large for a float, a non-finite value and JSON nested too deeply for the
+parser.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +55,7 @@ def _pair(z):
 
 
 def _dump(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def operator_tuple_bytes(ops: OperatorTuple) -> bytes:
@@ -86,7 +89,7 @@ def _as_complex(rows, what) -> np.ndarray:
     ints and floats, so an exact type test also rejects bools); a single
     numpy conversion then decodes all entries, bit-identical to
     ``complex(re, im)`` per entry.  An error names the first offending
-    entry, an int too large for a float included.
+    entry, an int too large for a float and a NaN or infinity included.
     """
     bad = next(
         (
@@ -109,6 +112,10 @@ def _as_complex(rows, what) -> np.ndarray:
         values = np.array(head, dtype=float)
     except OverflowError:
         raise ValueError(f"{what}: entry too large for a float") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        pair = values.reshape(-1, 2)[~finite.reshape(-1, 2).all(axis=1)][0]
+        raise ValueError(f"{what}: expected finite numbers, got {pair.tolist()!r}")
     if bad is not None:
         pair = rows[r][c]
         raise ValueError(f"{what}: expected a [re, im] number pair, got {pair!r}")
@@ -168,11 +175,10 @@ def load_state(path) -> StateFile:
         return loads_state(fh.read())
 
 
+# each save encodes before it opens the file, so a failed one leaves it as it was
 def save_operator_tuple(path, ops: OperatorTuple):
-    with open(path, "wb") as fh:
-        fh.write(operator_tuple_bytes(ops))
+    Path(path).write_bytes(operator_tuple_bytes(ops))
 
 
 def save_pure_state(path, amplitudes):
-    with open(path, "wb") as fh:
-        fh.write(pure_state_bytes(amplitudes))
+    Path(path).write_bytes(pure_state_bytes(amplitudes))

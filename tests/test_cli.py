@@ -73,6 +73,19 @@ class TestEval:
         code = main(["eval", "--state", state, "--labels", "1", "--perm", "()"])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry(self, tmp_path, capsys, token):
+        path = tmp_path / "ops.json"
+        path.write_text(
+            '{"data": [[[[1, 0], [0, 0]], [[0, 0], [%s, 0]]]], "dims": [2], '
+            '"format": "traceinv-state", "kind": "operator_tuple", "version": 1}' % token
+        )
+        code = main(["eval", "--state", str(path), "--labels", "1", "--perm", "()"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix 0: expected finite numbers, got [")
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["eval", "--state", str(tmp_path / "nope.json"), "--labels", "1",
                      "--perm", "();()"])
@@ -325,6 +338,13 @@ class TestRandomAndRender:
         assert out.read_text().startswith("<svg")
 
 
+#: a two-qubit pure state with one entry "X", replaced by a non-finite token
+NON_FINITE_STATE = (
+    '{"data": [[1, 0], [0, "X"], [0, 0], [0, 0]], "dims": [2, 2], '
+    '"format": "traceinv-state", "kind": "pure_state", "version": 1}'
+)
+
+
 class TestSloccEval:
     def test_bell(self, tmp_path, capsys):
         v = np.zeros(4, dtype=complex)
@@ -339,6 +359,18 @@ class TestSloccEval:
         ops_path = bell_density_file(tmp_path)
         code = main(["slocc-eval", "--state", ops_path, "--labels", "1", "--perm", "();()"])
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_amplitude(self, tmp_path, capsys, token):
+        # the error names the amplitudes, not a matrix the user never gave
+        path = tmp_path / "psi.json"
+        path.write_text(NON_FINITE_STATE.replace('"X"', token))
+        code = main(["slocc-eval", "--state", str(path), "--labels", "1", "--perm", "();()"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: amplitude: expected finite numbers")
+        assert "matrix" not in captured.err
 
 
 class TestUsage:

@@ -5,7 +5,6 @@ from traceinv import (
     Dims,
     OperatorTuple,
     conjugate_local,
-    from_net_tensor,
     is_normal,
     kron,
     partial_trace,
@@ -14,6 +13,7 @@ from traceinv import (
     random_local_unitary,
     to_net_tensor,
 )
+from traceinv.core import check_tol
 
 
 def crandn(rng, *shape):
@@ -94,7 +94,7 @@ class TestNetTensor:
         rng = np.random.default_rng(2)
         dims = Dims((2, 3, 2))
         M = crandn(rng, 12, 12)
-        assert np.array_equal(from_net_tensor(to_net_tensor(M, dims), dims), M)
+        assert np.array_equal(to_net_tensor(M, dims).reshape(M.shape), M)
 
     def test_block_structure(self):
         # kron factors land on separate axes
@@ -153,6 +153,38 @@ class TestPartialTrace:
     def test_bad_keep(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), Dims((2, 2)), {2})
+        with pytest.raises(ValueError, match="out of range"):
+            partial_trace(np.eye(4), Dims((2, 2)), [-1])
+
+    @pytest.mark.parametrize("keep", [[0.7], [1.0], ["0"]])
+    def test_non_integer_keep(self, keep):
+        # a float must not be truncated to a subsystem index
+        with pytest.raises(TypeError):
+            partial_trace(np.eye(4), Dims((2, 2)), keep)
+
+    def test_keep_numpy_integers_and_repeats(self):
+        rng = np.random.default_rng(9)
+        M = crandn(rng, 6, 6)
+        expect = partial_trace(M, Dims((2, 3)), {1})
+        assert np.array_equal(partial_trace(M, Dims((2, 3)), [np.int64(1), 1]), expect)
+
+    def test_keep_none(self):
+        M = np.diag([1.0, 2.0, 3.0, 4.0])
+        assert np.allclose(partial_trace(M, Dims((2, 2)), []), [[10.0]])
+
+
+class TestCheckTol:
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-3, "1e-3", np.float64(2.5)])
+    def test_accepts(self, tol):
+        assert check_tol(tol) == float(tol)
+
+    @pytest.mark.parametrize(
+        "tol", ["abc", None, [1], float("nan"), float("inf"), -1, pytest.param(10**400, id="1e400")]
+    )
+    def test_rejects_with_name(self, tol):
+        # a value float() cannot convert is named like any other bad value
+        with pytest.raises(ValueError, match="^my_tol must be a finite number >= 0, got "):
+            check_tol(tol, "my_tol")
 
 
 class TestConjugateLocal:

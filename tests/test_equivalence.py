@@ -10,6 +10,7 @@ from traceinv import (
     UnsupportedSizeError,
     conjugate_local,
     decide_lu_equiv,
+    enumerate_monomials,
     eval_contract,
     fingerprint,
     kron,
@@ -86,11 +87,11 @@ class TestFingerprint:
             assert ma == mb
             assert abs(va - vb) <= 1e-9 * (1 + abs(va))
 
-    def test_girth_filter_shrinks(self):
+    def test_generating_listing(self):
+        # the connected canonical monomials within the generating girth cap
         ops = OperatorTuple(Dims((2,)), (random_density(Dims((2,)), seed=52),))
-        narrow = fingerprint(ops, max_degree=4)
-        wide = fingerprint(ops, max_degree=4, girth_filter=False)
-        assert len(narrow.entries) < len(wide.entries)
+        mons = [mon for mon, _ in fingerprint(ops, max_degree=4).entries]
+        assert mons == enumerate_monomials(1, 1, 4, girth_cap=(3,), connected_only=True)
 
 
 class TestDecide:
@@ -237,6 +238,25 @@ class TestRenyi:
             renyi_entropy(bell_density(), Dims((2, 2)), set(), 2)
         with pytest.raises(ValueError):
             renyi_entropy(bell_density(), Dims((2, 2)), {0, 1}, 2)
+
+    @pytest.mark.parametrize("out", [[5], [-1], [2]])
+    def test_monomial_rejects_out_of_range(self, out):
+        # no monomial that silently traces out nothing
+        with pytest.raises(ValueError, match="out of range"):
+            renyi_monomial(2, out, 2)
+
+    @pytest.mark.parametrize("out", [[0.7], [1.9], ["0"]])
+    def test_rejects_non_integer_indices(self, out):
+        # a float is neither truncated nor ignored
+        with pytest.raises(TypeError):
+            renyi_monomial(2, out, 2)
+        with pytest.raises(TypeError):
+            renyi_entropy(bell_density(), Dims((2, 2)), out, 2)
+
+    def test_numpy_integer_indices(self):
+        assert renyi_monomial(3, [np.int64(1)], 3) == renyi_monomial(3, {1}, 3)
+        s = renyi_entropy(bell_density(), Dims((2, 2)), [np.int64(0)], 2)
+        assert abs(s - np.log(2)) < 1e-10
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):

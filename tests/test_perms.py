@@ -21,7 +21,6 @@ from traceinv import (
     generator_girth_cap,
     girth_of,
     is_connected,
-    network_edges,
     parse_perm,
     parse_perm_tuple,
     perm_from_cycles,
@@ -64,6 +63,16 @@ class TestPermBasics:
         assert parse_perm("(2 3)", 3) == (0, 2, 1)
         assert parse_perm("()", 3) == (0, 1, 2)
         assert parse_perm_tuple("(1 2)(3 4);(1 3)(2 4)", 4) == ((1, 0, 3, 2), (2, 3, 0, 1))
+
+    @pytest.mark.parametrize("cycles, size", [([(0, 1), (1, 2)], 3), ([(0, 1, 0)], 2)])
+    def test_from_cycles_rejects_repeats(self, cycles, size):
+        # a repeated position would make a non-permutation such as (1, 2, 1)
+        with pytest.raises(ValueError, match="twice"):
+            perm_from_cycles(cycles, size)
+
+    def test_parse_repeat_message_is_one_based(self):
+        with pytest.raises(ValueError, match=r"position 2 repeated"):
+            parse_perm("(1 2)(2 3)", 3)
 
     @pytest.mark.parametrize("bad", ["(1 2", "(0 1)", "(1 5)", "(1 2)(2 3)", "(1 x)"])
     def test_parse_errors(self, bad):
@@ -118,10 +127,6 @@ class TestGirth:
 
 
 class TestNetwork:
-    def test_edges(self):
-        mon = TraceMonomial(labels=(0, 0, 1), perms=((0, 2, 1), (1, 0, 2)))
-        assert network_edges(mon) == {(0, 1), (1, 2)}
-
     def test_connected(self):
         assert is_connected(TraceMonomial(labels=(0,), perms=((0,),)))
         assert is_connected(TraceMonomial(labels=(0, 0), perms=((1, 0),)))

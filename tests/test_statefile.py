@@ -287,6 +287,42 @@ class TestValidation:
         with pytest.raises(ValueError):
             loads_state(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_save_rejects_non_finite(self, bad):
+        # a bare NaN or Infinity token is not JSON
+        with pytest.raises(ValueError):
+            pure_state_bytes([bad, 1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1, 0, 0], [1, 0, 0]])
+    def test_failed_save_keeps_file(self, tmp_path, bad):
+        # the encoding fails before the file is opened, so it is not emptied
+        path = tmp_path / "psi.json"
+        save_pure_state(path, [1, 0, 0, 0])
+        good = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_pure_state(path, bad)
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "token, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")]
+    )
+    def test_load_rejects_non_finite(self, token, shown):
+        # Python's parser accepts these tokens; the first one is named
+        pairs = ["[1, 0]", f"[0, {token}]", "[0, 0]", f"[{token}, 0]"]
+        message = rf"^amplitude: expected finite numbers, got \[0\.0, {shown}\]$"
+        with pytest.raises(ValueError, match=message):
+            loads_state(pure_state_text(pairs))
+        rows = [["[0, 0]", "[1, 0]"], [f"[{token}, 0]", "[0, 0]"]]
+        with pytest.raises(ValueError, match=r"^matrix 0: expected finite numbers"):
+            loads_state(operator_tuple_text([rows], [2]))
+
+    def test_non_finite_before_malformed_entry(self):
+        # the first offending entry is named, whichever kind of fault it is
+        with pytest.raises(ValueError, match="finite"):
+            loads_state(pure_state_text(["[NaN, 0]", "[1]", "[0, 0]", "[0, 0]"]))
+        with pytest.raises(ValueError, match="pair"):
+            loads_state(pure_state_text(["[1]", "[NaN, 0]", "[0, 0]", "[0, 0]"]))
+
     def test_pure_state_bad_count(self):
         with pytest.raises(ValueError):
             pure_state_bytes(np.ones(3))
