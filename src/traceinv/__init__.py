@@ -31,17 +31,20 @@ from .equivalence import (
     slocc_degree_bound,
 )
 from .errors import UnsupportedSizeError
-from .evaluate import Factorization, eval_contract, eval_reference, factorize
+from .evaluate import eval_contract, eval_reference
 from .perms import (
+    Factorization,
     TraceMonomial,
     canonical_form,
     cycle_decomposition,
     enumerate_monomials,
+    factorize,
     format_perm,
     format_perm_tuple,
     generator_girth_cap,
     girth_of,
     is_connected,
+    parse_monomial,
     parse_perm,
     parse_perm_tuple,
     perm_from_cycles,
@@ -94,6 +97,7 @@ __all__ = [
     "loads_state",
     "lu_degree_bound",
     "operator_tuple_bytes",
+    "parse_monomial",
     "parse_perm",
     "parse_perm_tuple",
     "partial_trace",

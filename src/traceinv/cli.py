@@ -21,8 +21,8 @@ from .core import DEFAULT_TOL, Dims, OperatorTuple, check_tol, random_density
 from .diagram import render_svg
 from .equivalence import decide_lu_equiv, lu_degree_bound, slocc_degree_bound
 from .errors import MAX_BOUND_DIGITS, UnsupportedSizeError, check_size
-from .evaluate import eval_contract, eval_reference, factorize
-from .perms import TraceMonomial, enumerate_monomials, parse_perm_tuple
+from .evaluate import eval_contract, eval_reference
+from .perms import enumerate_monomials, factorize, parse_monomial
 from .slocc import eval_slocc
 from .statefile import load_state, save_operator_tuple, save_pure_state
 
@@ -39,20 +39,12 @@ def format_value(z) -> str:
     return s
 
 
-def _parse_labels(text):
-    try:
-        raw = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ValueError(f"labels must be comma-separated integers, got {text!r}") from None
-    if any(x < 1 for x in raw):
-        raise ValueError(f"labels are 1-based, got {text!r}")
-    return tuple(x - 1 for x in raw)
-
-
-def _parse_monomial(labels_text, perm_text) -> TraceMonomial:
-    labels = _parse_labels(labels_text)
-    perms = parse_perm_tuple(perm_text, len(labels))
-    return TraceMonomial(labels=labels, perms=perms)
+def _load(path, kind):
+    """The state file at ``path``, which must be of the given kind."""
+    sf = load_state(path)
+    if sf.kind != kind:
+        raise ValueError(f"{path}: expected a state file of kind {kind!r}, got {sf.kind!r}")
+    return sf
 
 
 def _fmt_positions(positions):
@@ -60,38 +52,24 @@ def _fmt_positions(positions):
 
 
 def _cmd_eval(args):
-    sf = load_state(args.state)
-    if sf.kind != "operator_tuple":
-        raise ValueError(f"eval needs an operator_tuple state file, got kind {sf.kind!r}")
-    mon = _parse_monomial(args.labels, args.perm)
-    if mon.n_rows != sf.dims.n:
-        raise ValueError(
-            f"--perm has {mon.n_rows} rows but the state has {sf.dims.n} subsystems"
-        )
+    ops = _load(args.state, "operator_tuple").operators
+    mon = parse_monomial(args.labels, args.perm)
     engine = eval_reference if args.engine == "ref" else eval_contract
-    print(format_value(engine(mon, sf.operators)))
+    print(format_value(engine(mon, ops)))
     return 0
 
 
 def _cmd_slocc_eval(args):
-    states = []
-    for path in args.state:
-        sf = load_state(path)
-        if sf.kind != "pure_state":
-            raise ValueError(f"{path}: slocc-eval needs pure_state files, got {sf.kind!r}")
-        states.append(sf.amplitudes)
-    mon = _parse_monomial(args.labels, args.perm)
+    states = [_load(path, "pure_state").amplitudes for path in args.state]
+    mon = parse_monomial(args.labels, args.perm)
     print(format_value(eval_slocc(mon, states)))
     return 0
 
 
 def _cmd_compare(args):
     tol = _default_tol() if args.tol is None else check_tol(args.tol, "--tol")
-    a = load_state(args.a)
-    b = load_state(args.b)
-    if a.kind != "operator_tuple" or b.kind != "operator_tuple":
-        raise ValueError("compare needs two operator_tuple state files")
-    verdict = decide_lu_equiv(a.operators, b.operators, max_degree=args.max_degree, tol=tol)
+    a, b = (_load(path, "operator_tuple").operators for path in (args.a, args.b))
+    verdict = decide_lu_equiv(a, b, max_degree=args.max_degree, tol=tol)
     if verdict.separated:
         va, vb = verdict.values
         print(
@@ -143,7 +121,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_factorize(args):
-    mon = _parse_monomial(args.labels, args.perm)
+    mon = parse_monomial(args.labels, args.perm)
     result = factorize(mon)
     if not result.reducible:
         print("IRREDUCIBLE")
@@ -173,7 +151,7 @@ def _cmd_random(args):
 
 
 def _cmd_render(args):
-    mon = _parse_monomial(args.labels, args.perm)
+    mon = parse_monomial(args.labels, args.perm)
     render_svg(mon, path=args.out)
     print(args.out)
     return 0

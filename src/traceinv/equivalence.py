@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
+from operator import index
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def lu_degree_bound(dims, m=1) -> int:
     max{2, ceil((3/8) * max d_i * m^2 * D^4 * (2n)^(2*delta))} with
     D = prod d_i and delta = sum (d_i - 1).  Exact integer arithmetic.
     """
-    dims = as_dims(dims)
+    dims, m = as_dims(dims), index(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     delta = sum(d - 1 for d in dims.sizes)
@@ -48,6 +49,7 @@ def lu_degree_bound(dims, m=1) -> int:
 def slocc_degree_bound(n, m=1) -> int:
     """Generating-degree cutoff for the SLOCC invariants of m pure n-qubit
     states: max{2, ceil((3/2) * m^2 * (2^n)^2 * n^(6n))}."""
+    n, m = index(n), index(m)
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     val = Fraction(3, 2) * m**2 * (2**n) ** 2 * n ** (6 * n)
@@ -152,12 +154,20 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
     return Verdict(separated=False, max_degree=max_degree, tol=tol, normal_certified=normal)
 
 
+def _renyi_order(q) -> int:
+    """q as an int: the Renyi order is an integer >= 2, numpy integers included."""
+    if not (isinstance(q, (int, np.integer)) and q >= 2):
+        raise ValueError(f"q must be an integer >= 2, got {q!r}")
+    return int(q)
+
+
 def renyi_monomial(n, trace_out, q) -> TraceMonomial:
     """The trace monomial computing Tr((Tr_A rho)^q) for a single density.
 
-    q boxes all holding the same operator; rows for traced-out subsystems
-    (A, indices in range(n)) carry the identity, the others one q-cycle.
+    q boxes all holding one operator, q an integer >= 2; rows for traced-out
+    subsystems (A, indices in range(n)) carry the identity, the others one q-cycle.
     """
+    q = _renyi_order(q)
     trace_out = _subsystems(trace_out, n, "trace_out")
     cycle = tuple((j + 1) % q for j in range(q))
     perms = tuple(identity_perm(q) if i in trace_out else cycle for i in range(n))
@@ -173,8 +183,7 @@ def renyi_entropy(rho, dims, trace_out, q, tol=DEFAULT_TOL) -> float:
     """
     dims = as_dims(dims)
     tol = check_tol(tol)
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
-        raise ValueError(f"q must be an integer >= 2, got {q!r}")
+    q = _renyi_order(q)
     trace_out = _subsystems(trace_out, dims.n, "trace_out")
     if not 0 < len(trace_out) < dims.n:
         raise ValueError("trace_out must be a nonempty proper subset of the subsystems")

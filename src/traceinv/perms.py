@@ -1,4 +1,4 @@
-"""Permutation tuples, trace-monomial bookkeeping, and monomial enumeration.
+"""Permutation tuples, trace monomials, their factorization, and enumeration.
 
 A permutation on ell box positions is a tuple of 0-based images: ``p[j]`` is
 where position j is sent.  A trace monomial is a label vector P (entries are
@@ -8,13 +8,15 @@ product of one trace per cycle, and extends multilinearly to everything else.
 
 Cycle-notation strings (as accepted by the command line tools) are 1-based:
 ``"(2 3);(1 2)"`` has one parenthesized-cycle list per row, rows separated by
-semicolons, omitted positions fixed.
+semicolons, omitted positions fixed.  ``str(mon)`` prints 1-based labels and
+then the rows, and ``parse_monomial`` reads that text back.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from numbers import Integral
@@ -101,11 +103,8 @@ def parse_perm(text, size):
     cycles = []
     used = set()
     for body in _CYCLE_RE.findall(text):
-        entries = body.replace(",", " ").split()
-        if not entries:
-            continue
         try:
-            cyc = tuple(int(e) - 1 for e in entries)
+            cyc = tuple(int(e) - 1 for e in body.replace(",", " ").split())
         except ValueError:
             raise ValueError(f"non-integer cycle entry in {text!r}") from None
         for e in cyc:
@@ -114,13 +113,24 @@ def parse_perm(text, size):
             if e in used:
                 raise ValueError(f"position {e + 1} repeated in {text!r}")
             used.add(e)
-        if len(cyc) > 1:
-            cycles.append(cyc)
+        cycles.append(cyc)
     return perm_from_cycles(cycles, size)
 
 
 def parse_perm_tuple(text, size):
     return tuple(parse_perm(row, size) for row in text.split(";"))
+
+
+def parse_monomial(labels_text, perm_text) -> TraceMonomial:
+    """Read back the two parts of ``str(mon)``: 1-based comma-separated
+    labels, and one row of 1-based cycle notation per subsystem."""
+    try:
+        labels = tuple(int(x) - 1 for x in labels_text.split(","))
+    except ValueError:
+        raise ValueError(f"labels must be comma-separated integers, got {labels_text!r}") from None
+    if any(x < 0 for x in labels):
+        raise ValueError(f"labels are 1-based, got {labels_text!r}")
+    return TraceMonomial(labels=labels, perms=parse_perm_tuple(perm_text, len(labels)))
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,128 @@ def _component(perms, start):
 
 def is_connected(mon: TraceMonomial) -> bool:
     return len(_component(mon.perms, 0)) == mon.n_boxes
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Outcome of the reducibility test for a trace monomial.
+
+    When ``reducible`` is True the witness fields describe a product
+    identity  value(factored) = value(left) * value(right):
+
+    * ``factored`` is the monomial that identity is about.  If the split
+      was found by disconnecting the contraction network it is the input
+      monomial itself (``relocated`` False).  If it was found by splitting
+      each row's cycle-length multiset, ``factored`` is a sibling of the
+      input with the same labels and per-row cycle types but cycles moved
+      onto aligned position blocks (``relocated`` True); the input monomial
+      itself need not equal the product in that case.
+    * ``left_positions`` / ``right_positions`` partition the box positions
+      of ``factored``; ``left`` / ``right`` are the factor monomials.
+    * ``row_split`` gives, per row, the two cycle-length multisets.
+    """
+
+    reducible: bool
+    left_positions: tuple[int, ...] | None = None
+    right_positions: tuple[int, ...] | None = None
+    left: TraceMonomial | None = None
+    right: TraceMonomial | None = None
+    factored: TraceMonomial | None = None
+    relocated: bool = False
+    row_split: tuple | None = None
+
+
+def _restrict(mon: TraceMonomial, positions):
+    """Sub-monomial on a cycle-closed position subset."""
+    pos = sorted(positions)
+    new = {k: i for i, k in enumerate(pos)}
+    labels = tuple(mon.labels[k] for k in pos)
+    perms = tuple(tuple(new[p[k]] for k in pos) for p in mon.perms)
+    return TraceMonomial(labels=labels, perms=perms)
+
+
+def _split(factored: TraceMonomial, left, relocated) -> Factorization:
+    """The reducible outcome for ``factored`` split along the cycle-closed
+    position set ``left``."""
+    left = sorted(left)
+    right = [j for j in range(factored.n_boxes) if j not in left]
+    return Factorization(
+        reducible=True,
+        left_positions=tuple(left),
+        right_positions=tuple(right),
+        left=_restrict(factored, left),
+        right=_restrict(factored, right),
+        factored=factored,
+        relocated=relocated,
+        row_split=tuple(
+            tuple(tuple(sorted(len(c) for c in cycles if c[0] in side)) for side in (left, right))
+            for cycles in map(cycle_decomposition, factored.perms)
+        ),
+    )
+
+
+def _cycle_subsets(cycles, labels, ell):
+    """Map (size, label multiset) -> first cycle subset realizing it."""
+    sigs = {}
+    for mask in range(1, (1 << len(cycles)) - 1):
+        chosen = [cycles[b] for b in range(len(cycles)) if mask >> b & 1]
+        size = sum(len(c) for c in chosen)
+        if size == ell:
+            continue
+        counts = Counter(labels[j] for c in chosen for j in c)
+        sig = (size, tuple(sorted(counts.items())))
+        sigs.setdefault(sig, chosen)
+    return sigs
+
+
+def factorize(mon: TraceMonomial) -> Factorization:
+    """Decide whether the monomial factors into two smaller ones.
+
+    Two routes, tried in order:
+
+    1. If the contraction network is disconnected, split along any
+       component boundary.  The product identity then holds for the input
+       monomial itself.
+    2. Otherwise look for a label-respecting split of every row's cycle
+       set: subsets A_i with one common total size and one common label
+       multiset across all rows.  If found, the cycles are relocated onto
+       aligned position blocks (keeping each box's label fixed) and the
+       identity holds for that relocated sibling -- which has the same
+       per-row cycle types as the input but, in general, a different value.
+
+    Anything that survives both routes is reported irreducible.  This is a
+    decision procedure for the splits it searches, not a proof that no
+    other polynomial relation exists.
+    """
+    ell = mon.n_boxes
+    check_size("factorize boxes", ell, MAX_BOXES)
+    comp = _component(mon.perms, 0)
+    if len(comp) < ell:
+        return _split(mon, comp, relocated=False)
+
+    # connected: search for a common (size, label-multiset) split of each
+    # row's cycles
+    per_row = [_cycle_subsets(cycle_decomposition(p), mon.labels, ell) for p in mon.perms]
+    common = set(per_row[0]).intersection(*per_row[1:])
+    if not common:
+        return Factorization(reducible=False)
+    sig = min(common)
+
+    # relocate each row by a label-preserving bijection: the chosen cycles'
+    # positions (sorted), then the rest, each take the next unused position
+    # with the same label.  All rows' chosen cycles carry the label multiset
+    # sig[1], so they land on one left block
+    slots = {lab: [j for j, x in enumerate(mon.labels) if x == lab] for lab in set(mon.labels)}
+    new_perms = []
+    for p, sigs in zip(mon.perms, per_row):
+        chosen = sorted(j for c in sigs[sig] for j in c)
+        order = chosen + [j for j in range(ell) if j not in chosen]
+        free = {lab: iter(js) for lab, js in slots.items()}
+        phi = {j: next(free[mon.labels[j]]) for j in order}
+        source = sorted(phi, key=phi.get)  # phi^-1
+        new_perms.append(tuple(phi[p[j]] for j in source))
+    factored = TraceMonomial(labels=mon.labels, perms=tuple(new_perms))
+    return _split(factored, [phi[j] for j in chosen], relocated=True)
 
 
 def _relabel(labels, perms, tau, tau_inv):

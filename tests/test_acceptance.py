@@ -31,6 +31,8 @@ from traceinv import (
     slocc_degree_bound,
 )
 
+from helpers import crandn, random_mon
+
 
 @contextmanager
 def criterion(k, name):
@@ -40,16 +42,6 @@ def criterion(k, name):
         print(f"ACCEPTANCE {k} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {k} {name}: PASS")
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_mon(rng, n, m, ell):
-    perms = tuple(tuple(rng.permutation(ell).tolist()) for _ in range(n))
-    labels = tuple(int(x) for x in rng.integers(0, m, size=ell))
-    return TraceMonomial(labels=labels, perms=perms)
 
 
 def rel_close(a, b, tol):

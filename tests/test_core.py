@@ -15,9 +15,7 @@ from traceinv import (
 )
 from traceinv.core import check_tol
 
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from helpers import crandn
 
 
 class TestDims:

@@ -65,6 +65,27 @@ class TestDegreeBounds:
         with pytest.raises(ValueError):
             slocc_degree_bound(0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: slocc_degree_bound(2.5),
+            lambda: slocc_degree_bound(2, m=1.5),
+            lambda: lu_degree_bound((2, 2), m=1.5),
+            lambda: lu_degree_bound((2,), m=2.0),
+        ],
+        ids=["slocc-n", "slocc-m", "lu-m", "lu-m-whole-float"],
+    )
+    def test_non_integer_args(self, call):
+        # no bound from a truncated or fractional n or m
+        with pytest.raises(TypeError):
+            call()
+
+    def test_numpy_integer_args(self):
+        assert slocc_degree_bound(np.int8(3), m=np.int64(2)) == slocc_degree_bound(3, m=2)
+        bound = lu_degree_bound(Dims((2, 2)), m=np.int64(2))
+        assert bound == lu_degree_bound(Dims((2, 2)), m=2)
+        assert type(bound) is int
+
 
 class TestFingerprint:
     def test_maximally_mixed_values(self):
@@ -232,6 +253,17 @@ class TestRenyi:
             renyi_entropy(bell_density(), Dims((2, 2)), {0}, 1)
         with pytest.raises(ValueError):
             renyi_entropy(bell_density(), Dims((2, 2)), {0}, 2.5)
+
+    @pytest.mark.parametrize("q", [1, 0, -2, 2.5, 2.0, "2", True, None])
+    def test_monomial_rejects_bad_q(self, q):
+        # q = 1 would give Tr rho, which is no Renyi quantity
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            renyi_monomial(2, [0], q)
+
+    def test_monomial_numpy_integer_q(self):
+        mon = renyi_monomial(2, [0], np.int64(3))
+        assert mon == renyi_monomial(2, [0], 3)
+        assert mon.n_boxes == 3
 
     def test_rejects_bad_subset(self):
         with pytest.raises(ValueError):

@@ -26,22 +26,14 @@ from traceinv import (
 )
 from traceinv.evaluate import _einsum_step, _multiply_step, _plan
 
+from helpers import crandn, random_mon
+
 ENGINES = [eval_reference, eval_contract]
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_ops(rng, dims, m):
     D = dims.total
     return OperatorTuple(dims, tuple(crandn(rng, D, D) for _ in range(m)))
-
-
-def random_mon(rng, n, m, ell):
-    perms = tuple(tuple(rng.permutation(ell).tolist()) for _ in range(n))
-    labels = tuple(int(x) for x in rng.integers(0, m, size=ell))
-    return TraceMonomial(labels=labels, perms=perms)
 
 
 def simple_tensor_value(mon, factors):

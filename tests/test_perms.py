@@ -21,6 +21,7 @@ from traceinv import (
     generator_girth_cap,
     girth_of,
     is_connected,
+    parse_monomial,
     parse_perm,
     parse_perm_tuple,
     perm_from_cycles,
@@ -62,6 +63,7 @@ class TestPermBasics:
     def test_parse_examples(self):
         assert parse_perm("(2 3)", 3) == (0, 2, 1)
         assert parse_perm("()", 3) == (0, 1, 2)
+        assert parse_perm("()(3)(1,2)( )", 4) == (1, 0, 2, 3)
         assert parse_perm_tuple("(1 2)(3 4);(1 3)(2 4)", 4) == ((1, 0, 3, 2), (2, 3, 0, 1))
 
     @pytest.mark.parametrize("cycles, size", [([(0, 1), (1, 2)], 3), ([(0, 1, 0)], 2)])
@@ -78,6 +80,30 @@ class TestPermBasics:
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_perm(bad, 4)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(1 2)(2)", r"position 2 repeated in '\(1 2\)\(2\)'"),
+            ("(4)", r"cycle entry 4 out of range 1..3"),
+            ("(0)", r"cycle entry 0 out of range 1..3"),
+        ],
+    )
+    def test_parse_single_cycle_errors_are_one_based(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_perm(text, 3)
+
+
+class TestParseMonomial:
+    @pytest.mark.parametrize("text", ["a,b", "1,,2", "", "1.5", "1;2"])
+    def test_non_integer_labels(self, text):
+        with pytest.raises(ValueError, match="labels must be comma-separated integers, got"):
+            parse_monomial(text, "()")
+
+    @pytest.mark.parametrize("text", ["0", "1,0", "2,-1"])
+    def test_labels_are_one_based(self, text):
+        with pytest.raises(ValueError, match=f"labels are 1-based, got '{text}'"):
+            parse_monomial(text, "()")
 
 
 class TestTraceMonomial:

@@ -23,6 +23,7 @@ from traceinv import (
     eval_slocc,
     factorize,
     kron,
+    parse_monomial,
     random_local_unitary,
     random_sl2_tuple,
     render_svg,
@@ -136,6 +137,13 @@ def test_factorize_identities(mon, seed):
     # cycle label-words, which a label-preserving relocation keeps
     ops = OperatorTuple(dims, tuple(kron([_unit(rng, 2) for _ in range(n)]) for _ in range(2)))
     assert close(eval_contract(f, ops), eval_contract(mon, ops))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 8), st.integers(1, 3))
+       .flatmap(lambda s: monomial(*s)))
+def test_parse_monomial_reads_str_back(mon):
+    assert parse_monomial(*str(mon).split(" ", 1)) == mon
 
 
 def _boxes(ell, rows=1):

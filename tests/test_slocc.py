@@ -20,9 +20,7 @@ from traceinv import (
 from traceinv import slocc
 from traceinv.cli import format_value, main
 
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from helpers import crandn
 
 
 def bell():

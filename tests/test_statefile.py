@@ -16,6 +16,8 @@ from traceinv import (
 )
 from traceinv.cli import main
 
+from helpers import crandn
+
 #: ints whose nearest double rounds, beyond 2**53 and at the top of the range
 BOUNDARY_INTS = [2**53 + 1, 2**64 + 3, 10**20 + 1, 10**308, -(2**70) + 1]
 
@@ -32,10 +34,6 @@ MALFORMED = [
     ("[null, 0]", "[None, 0]"),
     (str(10**400), str(10**400)),
 ]
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def sample_ops():
