@@ -25,6 +25,7 @@ from .equivalence import (
     Verdict,
     decide_lu_equiv,
     fingerprint,
+    generator_girth_cap,
     lu_degree_bound,
     renyi_entropy,
     renyi_monomial,
@@ -41,7 +42,6 @@ from .perms import (
     factorize,
     format_perm,
     format_perm_tuple,
-    generator_girth_cap,
     girth_of,
     is_connected,
     parse_monomial,

@@ -47,6 +47,14 @@ def _load(path, kind):
     return sf
 
 
+def _ints(text, option):
+    """The comma-separated integers of an option's text, e.g. "2,2"."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
 def _fmt_positions(positions):
     return ",".join(str(j + 1) for j in positions)
 
@@ -83,9 +91,7 @@ def _cmd_compare(args):
 
 
 def _cmd_enumerate(args):
-    cap = None
-    if args.girth_cap:
-        cap = tuple(int(x) for x in args.girth_cap.split(","))
+    cap = _ints(args.girth_cap, "--girth-cap") if args.girth_cap else None
     mons = enumerate_monomials(
         args.n,
         args.m,
@@ -109,7 +115,7 @@ def _cmd_bounds(args):
     if args.lu:
         if not args.dims:
             raise ValueError("--lu needs --dims")
-        dims = Dims(tuple(int(x) for x in args.dims.split(",")))
+        dims = Dims(_ints(args.dims, "--dims"))
         bound = lu_degree_bound(dims, m=args.m)
     else:
         if args.n is None:
@@ -136,7 +142,7 @@ def _cmd_factorize(args):
 
 
 def _cmd_random(args):
-    dims = Dims(tuple(int(x) for x in args.dims.split(",")))
+    dims = Dims(_ints(args.dims, "--dims"))
     rng = np.random.default_rng(args.seed)
     if args.kind == "density":
         mats = tuple(random_density(dims, rank=args.rank, seed=rng) for _ in range(args.count))
@@ -183,7 +189,7 @@ def build_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol")  # read by check_tol alone
 
     p = sub.add_parser("enumerate", help="list canonical trace monomials")
     p.add_argument("-n", type=int, required=True, help="number of subsystem rows")

@@ -1,7 +1,8 @@
 """Deciding local-unitary equivalence through invariant comparison.
 
 Two tuples of normal matrices are LU-equivalent exactly when all their
-trace-monomial invariants agree, and finitely many suffice: the degree
+trace-monomial invariants agree, and finitely many suffice: the connected
+ones with each row within ``generator_girth_cap`` generate, and the degree
 bounds below give an explicit (astronomically loose) cutoff, while in
 practice low degrees already separate inequivalent states.  For non-normal
 tuples agreement is necessary but not known to be sufficient, so the
@@ -28,7 +29,15 @@ from .core import (
     partial_trace,
 )
 from .evaluate import eval_contract
-from .perms import TraceMonomial, enumerate_monomials, generator_girth_cap, identity_perm
+from .perms import TraceMonomial, enumerate_monomials, identity_perm
+
+
+def generator_girth_cap(dims):
+    """Per-subsystem girth cap sufficient for a generating set of invariants.
+
+    d*(d+1)/2 for d <= 3, d^2 otherwise.
+    """
+    return tuple(d * (d + 1) // 2 if d <= 3 else d * d for d in as_dims(dims).sizes)
 
 
 def lu_degree_bound(dims, m=1) -> int:

@@ -22,7 +22,6 @@ from math import factorial
 from numbers import Integral
 from operator import index
 
-from .core import as_dims
 from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_size
 
 
@@ -185,14 +184,6 @@ def girth_of(mon: TraceMonomial):
     return tuple(_max_cycle(p) for p in mon.perms)
 
 
-def generator_girth_cap(dims):
-    """Per-subsystem girth cap sufficient for a generating set of invariants.
-
-    d*(d+1)/2 for d <= 3, d^2 otherwise.
-    """
-    return tuple(d * (d + 1) // 2 if d <= 3 else d * d for d in as_dims(dims).sizes)
-
-
 def _component(perms, start):
     """Positions in the network component of ``start``; the rows generate a
     permutation group, so following images alone sweeps out the component."""
@@ -269,14 +260,13 @@ def _split(factored: TraceMonomial, left, relocated) -> Factorization:
     )
 
 
-def _cycle_subsets(cycles, labels, ell):
-    """Map (size, label multiset) -> first cycle subset realizing it."""
+def _cycle_subsets(cycles, labels):
+    """Map (size, label multiset) -> first nonempty proper cycle subset
+    realizing it."""
     sigs = {}
     for mask in range(1, (1 << len(cycles)) - 1):
         chosen = [cycles[b] for b in range(len(cycles)) if mask >> b & 1]
         size = sum(len(c) for c in chosen)
-        if size == ell:
-            continue
         counts = Counter(labels[j] for c in chosen for j in c)
         sig = (size, tuple(sorted(counts.items())))
         sigs.setdefault(sig, chosen)
@@ -310,7 +300,7 @@ def factorize(mon: TraceMonomial) -> Factorization:
 
     # connected: search for a common (size, label-multiset) split of each
     # row's cycles
-    per_row = [_cycle_subsets(cycle_decomposition(p), mon.labels, ell) for p in mon.perms]
+    per_row = [_cycle_subsets(cycle_decomposition(p), mon.labels) for p in mon.perms]
     common = set(per_row[0]).intersection(*per_row[1:])
     if not common:
         return Factorization(reducible=False)

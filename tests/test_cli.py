@@ -54,6 +54,18 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out.strip() == "1.000000000000000"
 
+    def test_operator_tuple_needs_matrices(self, tmp_path, capsys):
+        path = bell_density_file(tmp_path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["data"] = []
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["eval", "--state", path, "--labels", "1", "--perm", "();()"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: operator_tuple data must be a nonempty list of matrices\n"
+
     def test_partial_purity(self, tmp_path, capsys):
         state = bell_density_file(tmp_path)
         code = main(["eval", "--state", state, "--labels", "1,1", "--perm", "(1 2);()"])
@@ -265,6 +277,12 @@ class TestBounds:
     def test_lu_needs_dims(self, capsys):
         assert main(["bounds", "--lu"]) == 2
 
+    def test_slocc_needs_n(self, capsys):
+        assert main(["bounds", "--slocc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --slocc needs -n\n"
+
     # the largest bounds that still print have 4298 (--slocc -n 281) and
     # 4295 (--lu, 585 qubits) digits; one step up passes MAX_BOUND_DIGITS
     @pytest.mark.parametrize("n, rc", [(281, 0), (282, 3)])
@@ -301,6 +319,39 @@ class TestFactorize:
         code = main(["factorize", "--labels", "1,1,1,1", "--perm", "(1 2 3);(1 2)(3 4)"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "IRREDUCIBLE"
+
+
+class TestOptionText:
+    """Each option's text is read once, and a bad value exits 2 naming the option."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "-n", "2", "-m", "1", "--max-degree", "3", "--girth-cap", "3,x"],
+         "error: --girth-cap must be comma-separated integers, got '3,x'\n"),
+        (["bounds", "--lu", "--dims", "2,x"],
+         "error: --dims must be comma-separated integers, got '2,x'\n"),
+    ])
+    def test_bad_integer_list(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_bad_random_dims_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "rho.json"
+        assert main(["random", "--dims", "2,2.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dims must be comma-separated integers, got '2,2.5'\n"
+        assert not out.exists()
+
+    def test_non_numeric_tol(self, tmp_path, capsys):
+        # check_tol is the one reader of --tol, so main returns 2 instead of
+        # argparse raising SystemExit
+        a, b = diag_pair_files(tmp_path)
+        assert main(["compare", "--a", a, "--b", b, "--tol", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tol must be a finite number >= 0, got 'abc'\n"
 
 
 class TestRandomAndRender:

@@ -211,6 +211,10 @@ class TestConjugateLocal:
         with pytest.raises(ValueError):
             conjugate_local(np.eye(4), [np.zeros((2, 2)), np.eye(2)], Dims((2, 2)))
 
+    def test_wrong_factor_shape(self):
+        with pytest.raises(ValueError, match=r"factor 1 has shape \(3, 3\), expected \(2, 2\)"):
+            conjugate_local(np.eye(4), [np.eye(2), np.eye(3)], Dims((2, 2)))
+
     def test_wrong_factor_count(self):
         with pytest.raises(ValueError):
             conjugate_local(np.eye(4), [np.eye(4)], Dims((2, 2)))

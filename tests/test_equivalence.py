@@ -6,7 +6,6 @@ import pytest
 from traceinv import (
     Dims,
     OperatorTuple,
-    TraceMonomial,
     UnsupportedSizeError,
     conjugate_local,
     decide_lu_equiv,
@@ -95,6 +94,12 @@ class TestFingerprint:
         expect = [1.0, 0.5, 0.5, 0.25]
         for (mon, val), e in zip(fp.entries, expect):
             assert abs(val - e) < 1e-12
+
+    def test_values_follow_entries(self):
+        ops = OperatorTuple(Dims((2, 2)), (np.eye(4, dtype=complex) / 4,))
+        fp = fingerprint(ops, max_degree=2)
+        assert fp.values == tuple(v for _, v in fp.entries)
+        assert np.allclose(fp.values, [1.0, 0.5, 0.5, 0.25], rtol=0, atol=1e-12)
 
     def test_unitary_invariance(self):
         rho = random_density(Dims((2, 2)), seed=50)
@@ -289,6 +294,16 @@ class TestRenyi:
         assert renyi_monomial(3, [np.int64(1)], 3) == renyi_monomial(3, {1}, 3)
         s = renyi_entropy(bell_density(), Dims((2, 2)), [np.int64(0)], 2)
         assert abs(s - np.log(2)) < 1e-10
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected shape \(4, 4\), got \(2, 2\)"):
+            renyi_entropy(np.eye(2, dtype=complex) / 2, Dims((2, 2)), {0}, 2)
+
+    def test_rejects_non_hermitian(self):
+        rho = bell_density()
+        rho[0, 1] += 0.5
+        with pytest.raises(ValueError, match="rho is not Hermitian within tolerance"):
+            renyi_entropy(rho, Dims((2, 2)), {0}, 2)
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):

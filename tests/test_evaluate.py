@@ -17,8 +17,7 @@ from traceinv import (
     eval_contract,
     eval_reference,
     factorize,
-    kron,
-    parse_perm_tuple,
+    parse_monomial,
     partial_trace,
     random_density,
     random_local_invertible,
@@ -217,11 +216,6 @@ class TestEnvelopes:
         assert abs(a - b) <= 1e-10 * (1 + abs(b))
 
 
-def parse_mon(labels, perms):
-    labels = tuple(int(x) - 1 for x in labels.split(","))
-    return TraceMonomial(labels=labels, perms=parse_perm_tuple(perms, len(labels)))
-
-
 def interleaved(mon, ops):
     """The network of ``mon`` on ``ops`` in numpy's interleaved einsum form,
     built here independently of ``eval_contract``: box j's column index on
@@ -257,10 +251,10 @@ def planned_path(mon, ops):
 # networks whose greedy path under numpy's default intermediate cap (the
 # largest input) ends in a naive contraction of three or more boxes
 NAIVE_AT_DEFAULT_CAP = [
-    ((2, 3), parse_mon("1,1,1,1", "(1 2)(3 4);(1 3 2 4)")),
-    ((2, 2, 2), parse_mon("1,1,1,1", "(1 2)(3 4);(1 3)(2 4);(1 4)(2 3)")),
+    ((2, 3), parse_monomial("1,1,1,1", "(1 2)(3 4);(1 3 2 4)")),
+    ((2, 2, 2), parse_monomial("1,1,1,1", "(1 2)(3 4);(1 3)(2 4);(1 4)(2 3)")),
 ]
-J034 = parse_mon("2,2,2,1", "(1 3 2);(1 4 2);(1 2 3 4);(1 3 2 4);(1 3)(2 4);(1 2)(3 4)")
+J034 = parse_monomial("2,2,2,1", "(1 3 2);(1 4 2);(1 2 3 4);(1 3 2 4);(1 3)(2 4);(1 2)(3 4)")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -442,7 +436,7 @@ class TestStepProgram:
         ((2, 2), "2,1,1", "();(1 3)"),
     ], ids=["2x3", "2x2x2", "3x2", "2x2-identity-row"])
     def test_fixed_points(self, sizes, labels, perms):
-        mon = parse_mon(labels, perms)
+        mon = parse_monomial(labels, perms)
         assert traced_operands(mon, sizes) > 0
         ops = random_ops(np.random.default_rng(71), Dims(sizes), 2)
         assert_matches_einsum(eval_contract(mon, ops), mon, ops)
@@ -454,7 +448,7 @@ class TestStepProgram:
         ((2, 2, 2), "1,2,2", "(1 2);(1 2);()"),
     ], ids=["two-pairs", "two-traces", "three-pairs", "pair-and-trace"])
     def test_disconnected(self, sizes, labels, perms):
-        mon = parse_mon(labels, perms)
+        mon = parse_monomial(labels, perms)
         assert _multiply_step in step_runs(mon, sizes)
         ops = random_ops(np.random.default_rng(72), Dims(sizes), 2)
         assert_matches_einsum(eval_contract(mon, ops), mon, ops)

@@ -72,6 +72,11 @@ class TestPermBasics:
         with pytest.raises(ValueError, match="twice"):
             perm_from_cycles(cycles, size)
 
+    @pytest.mark.parametrize("cycles, entry", [([(0, 3)], 3), ([(-1, 0)], -1)])
+    def test_from_cycles_rejects_out_of_range(self, cycles, entry):
+        with pytest.raises(ValueError, match=f"cycle entry {entry} out of range for size 3"):
+            perm_from_cycles(cycles, 3)
+
     def test_parse_repeat_message_is_one_based(self):
         with pytest.raises(ValueError, match=r"position 2 repeated"):
             parse_perm("(1 2)(2 3)", 3)
@@ -114,6 +119,10 @@ class TestTraceMonomial:
             TraceMonomial(labels=(), perms=((0,),))
         with pytest.raises(ValueError):
             TraceMonomial(labels=(-1,), perms=((0,),))
+
+    def test_needs_a_row(self):
+        with pytest.raises(ValueError, match="monomial needs at least one subsystem row"):
+            TraceMonomial(labels=(0,), perms=())
 
     @pytest.mark.parametrize("labels, perms", [
         ((0.7, 1.2), ((1.9, 0.3),)),   # would read as labels 1,2 and (1 2)

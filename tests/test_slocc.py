@@ -111,6 +111,10 @@ class TestEmbedding:
         assert S.shape == (8, 8)
         assert np.allclose(S, kron([DUALITY, DUALITY, DUALITY]))
 
+    def test_duality_form_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            duality_form(0)
+
 
 class TestEvalSlocc:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

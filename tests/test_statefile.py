@@ -254,6 +254,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             loads_state(self.corrupt(dims="2,3"))
 
+    @pytest.mark.parametrize("data", [[], None, {}])
+    def test_operator_tuple_needs_matrices(self, data):
+        message = "operator_tuple data must be a nonempty list of matrices"
+        with pytest.raises(ValueError, match=message):
+            loads_state(self.corrupt(data=data))
+
     def test_matrix_shape_mismatch(self):
         doc = self.good_doc()
         doc["data"][0] = doc["data"][0][:-1]
