@@ -22,7 +22,7 @@ from .diagram import render_svg
 from .equivalence import decide_lu_equiv, lu_degree_bound, slocc_degree_bound
 from .errors import MAX_BOUND_DIGITS, UnsupportedSizeError, check_size
 from .evaluate import eval_contract, eval_reference
-from .perms import enumerate_monomials, factorize, parse_monomial
+from .perms import enumerate_monomials, factorize, parse_int, parse_monomial
 from .slocc import eval_slocc
 from .statefile import load_state, save_operator_tuple, save_pure_state
 
@@ -50,7 +50,7 @@ def _load(path, kind):
 def _ints(text, option):
     """The comma-separated integers of an option's text, e.g. "2,2"."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(parse_int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"{option} must be comma-separated integers, got {text!r}") from None
 
@@ -91,7 +91,7 @@ def _cmd_compare(args):
 
 
 def _cmd_enumerate(args):
-    cap = _ints(args.girth_cap, "--girth-cap") if args.girth_cap else None
+    cap = _ints(args.girth_cap, "--girth-cap") if args.girth_cap is not None else None
     mons = enumerate_monomials(
         args.n,
         args.m,
@@ -188,13 +188,13 @@ def build_parser():
     p = sub.add_parser("compare", help="compare invariants of two operator tuples")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=parse_int, default=4)
     p.add_argument("--tol")  # read by check_tol alone
 
     p = sub.add_parser("enumerate", help="list canonical trace monomials")
-    p.add_argument("-n", type=int, required=True, help="number of subsystem rows")
-    p.add_argument("-m", type=int, required=True, help="number of operator labels")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("-n", type=parse_int, required=True, help="number of subsystem rows")
+    p.add_argument("-m", type=parse_int, required=True, help="number of operator labels")
+    p.add_argument("--max-degree", type=parse_int, required=True)
     p.add_argument("--girth-cap", default=None, help='per-row cap, e.g. "3,3"')
     p.add_argument("--connected", action="store_true")
     p.add_argument("--raw", action="store_true", help="no dedup by box relabeling")
@@ -204,17 +204,17 @@ def build_parser():
     grp.add_argument("--lu", action="store_true")
     grp.add_argument("--slocc", action="store_true")
     p.add_argument("--dims", default=None, help='subsystem dims for --lu, e.g. "2,2"')
-    p.add_argument("-n", type=int, default=None, help="qubit count for --slocc")
-    p.add_argument("-m", type=int, default=1)
+    p.add_argument("-n", type=parse_int, default=None, help="qubit count for --slocc")
+    p.add_argument("-m", type=parse_int, default=1)
 
     p = sub.add_parser("factorize", help="split a monomial into smaller factors")
     _monomial_args(p)
 
     p = sub.add_parser("random", help="write a random state file")
     p.add_argument("--dims", required=True)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--count", type=int, default=1, help="matrices per tuple")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--rank", type=parse_int, default=None)
+    p.add_argument("--count", type=parse_int, default=1, help="matrices per tuple")
+    p.add_argument("--seed", type=parse_int, default=None)
     p.add_argument("--kind", choices=["density", "pure"], default="density")
     p.add_argument("--out", required=True)
 

@@ -29,7 +29,7 @@ from .core import (
     partial_trace,
 )
 from .evaluate import eval_contract
-from .perms import TraceMonomial, enumerate_monomials, identity_perm
+from .perms import TraceMonomial, identity_perm, iter_monomials
 
 
 def generator_girth_cap(dims):
@@ -84,10 +84,12 @@ def _invariants(tuples, max_degree):
 
     The monomials, from the first tuple (all share dims and length), are
     the connected canonical ones with rows within ``generator_girth_cap``:
-    the others are products of these or polynomials in them.
+    the others are products of these or polynomials in them.  They are
+    generated as they are read, so a caller that stops early enumerates no
+    further.
     """
     dims = tuples[0].dims
-    mons = enumerate_monomials(
+    mons = iter_monomials(
         dims.n, tuples[0].m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
     )
     for mon in mons:

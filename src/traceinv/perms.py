@@ -91,6 +91,17 @@ def format_perm_tuple(perms):
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text):
+    """The integer written in ``text``: an optional sign and ASCII digits,
+    surrounding whitespace ignored.  Unlike ``int``, digit separators
+    ("1_0") and non-ASCII digits raise ValueError."""
+    # plain ASCII digits, the common case, skip the pattern
+    if not (text.isascii() and text.isdigit()) and not _INT_RE.fullmatch(text.strip()):
+        raise ValueError(f"invalid integer text: {text!r}")
+    return int(text)
 
 
 def parse_perm(text, size):
@@ -103,7 +114,7 @@ def parse_perm(text, size):
     used = set()
     for body in _CYCLE_RE.findall(text):
         try:
-            cyc = tuple(int(e) - 1 for e in body.replace(",", " ").split())
+            cyc = tuple(parse_int(e) - 1 for e in body.replace(",", " ").split())
         except ValueError:
             raise ValueError(f"non-integer cycle entry in {text!r}") from None
         for e in cyc:
@@ -124,7 +135,7 @@ def parse_monomial(labels_text, perm_text) -> TraceMonomial:
     """Read back the two parts of ``str(mon)``: 1-based comma-separated
     labels, and one row of 1-based cycle notation per subsystem."""
     try:
-        labels = tuple(int(x) - 1 for x in labels_text.split(","))
+        labels = tuple(parse_int(x) - 1 for x in labels_text.split(","))
     except ValueError:
         raise ValueError(f"labels must be comma-separated integers, got {labels_text!r}") from None
     if any(x < 0 for x in labels):
@@ -393,6 +404,14 @@ def _orbit_minima(rows, group):
             yield (r, *rest)
 
 
+def _count(value, name):
+    """``value`` as an int >= 1; a float or a string raises TypeError."""
+    value = index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    return value
+
+
 def enumerate_monomials(
     n,
     m,
@@ -410,21 +429,25 @@ def enumerate_monomials(
     an optional per-row cap on the maximum cycle length, each an integer
     >= 1; ``connected_only`` keeps only monomials whose contraction network
     is connected (the rest are products of smaller ones).  Output is sorted by degree, then by
-    ``(labels, perms)``, so it is deterministic.
+    ``(labels, perms)``, so it is deterministic.  ``iter_monomials`` yields
+    the same listing lazily.
 
-    The canonical listing is generated in that order, without a dedup set
-    over the whole degree.  The least label vector of a class is its sorted
-    one, so labels range over sorted vectors only.  Row 0 then ranges over
-    the least member of each conjugacy class under the relabelings that fix
-    the labels, and each later row over the least member of each class under
-    what still fixes the rows before it.  Girth is a conjugation invariant,
-    so the cap prunes each row's candidates before any of this.
-
+    n, m and max_degree must be integers >= 1: a float raises TypeError.
     The budget bounds the raw (P, sigma) count, sum over ell of
     (ell!)^n * m^ell, for both listings.
     """
-    if n < 1 or m < 1 or max_degree < 1:
-        raise ValueError("n, m, max_degree must all be >= 1")
+    return list(iter_monomials(n, m, max_degree, girth_cap, connected_only, canonical))
+
+
+def iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, canonical=True):
+    """A generator over the listing of ``enumerate_monomials``, taking the
+    same arguments.
+
+    Every argument, ``MAX_DEGREE`` and the budget are checked here, at the
+    call; the monomials are generated as they are read, so a caller that
+    stops early pays only for the monomials it read.
+    """
+    n, m, max_degree = _count(n, "n"), _count(m, "m"), _count(max_degree, "max_degree")
     check_size("max_degree", max_degree, MAX_DEGREE)
     if girth_cap is not None:
         girth_cap = tuple(girth_cap)
@@ -433,13 +456,26 @@ def enumerate_monomials(
 
     work = sum(factorial(ell) ** n * m**ell for ell in range(1, max_degree + 1))
     check_size("enumeration candidates (reduce max_degree, n or m)", work, ENUM_BUDGET)
+    return _generate(m, max_degree, girth_cap or (None,) * n, connected_only, canonical)
 
-    out = []
+
+def _generate(m, max_degree, caps, connected_only, canonical):
+    """The listing of ``iter_monomials`` for checked arguments, one cap (or
+    None) per row.
+
+    The canonical listing is generated in order, without a dedup set over
+    the whole degree.  The least label vector of a class is its sorted one,
+    so labels range over sorted vectors only.  Row 0 then ranges over the
+    least member of each conjugacy class under the relabelings that fix the
+    labels, and each later row over the least member of each class under
+    what still fixes the rows before it.  Girth is a conjugation invariant,
+    so the cap prunes each row's candidates before any of this.
+    """
     for ell in range(1, max_degree + 1):
         perms_ell = list(itertools.permutations(range(ell)))
         rows = [
             perms_ell if cap is None else [p for p in perms_ell if _max_cycle(p) <= cap]
-            for cap in girth_cap or (None,) * n
+            for cap in caps
         ]
         if canonical:
             blocks = (
@@ -454,5 +490,4 @@ def enumerate_monomials(
                 mon = TraceMonomial(labels=labels, perms=perms)
                 if connected_only and not is_connected(mon):
                     continue
-                out.append(mon)
-    return out
+                yield mon

@@ -169,6 +169,13 @@ class TestCompare:
         assert code == 0
         assert capsys.readouterr().out.strip() == "INDISTINGUISHABLE_UP_TO 3"
 
+    def test_degree_below_one(self, tmp_path, capsys):
+        a, b = diag_pair_files(tmp_path)
+        assert main(["compare", "--a", a, "--b", b, "--max-degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_degree must be an integer >= 1, got 0\n"
+
     def test_dims_mismatch(self, tmp_path, capsys):
         a, _ = diag_pair_files(tmp_path)
         other = tmp_path / "other.json"
@@ -329,6 +336,9 @@ class TestOptionText:
          "error: --girth-cap must be comma-separated integers, got '3,x'\n"),
         (["bounds", "--lu", "--dims", "2,x"],
          "error: --dims must be comma-separated integers, got '2,x'\n"),
+        # an explicitly empty option is text that does not parse, not "no cap"
+        (["enumerate", "-n", "1", "-m", "1", "--max-degree", "2", "--girth-cap", ""],
+         "error: --girth-cap must be comma-separated integers, got ''\n"),
     ])
     def test_bad_integer_list(self, capsys, argv, message):
         assert main(argv) == 2
@@ -343,6 +353,40 @@ class TestOptionText:
         assert captured.out == ""
         assert captured.err == "error: --dims must be comma-separated integers, got '2,2.5'\n"
         assert not out.exists()
+
+    def test_digit_separator_dims_writes_nothing(self, tmp_path, capsys):
+        # int() reads "1_0" as 10: a state on one 10-dimensional subsystem
+        out = tmp_path / "rho.json"
+        assert main(["random", "--dims", "1_0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dims must be comma-separated integers, got '1_0'\n"
+        assert not out.exists()
+
+    def test_digit_separator_labels(self, tmp_path, capsys):
+        state = bell_density_file(tmp_path)
+        assert main(["eval", "--state", state, "--labels", "1_0,1_0", "--perm", "();()"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: labels must be comma-separated integers, got '1_0,1_0'\n"
+
+    # int() reads "1_0" as 10; each integer option rejects it in argparse
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "-n", "1", "-m", "1", "--max-degree", "1_0"],
+        ["enumerate", "-n", "1_0", "-m", "1", "--max-degree", "2"],
+        ["bounds", "--slocc", "-n", "2", "-m", "1_0"],
+        ["random", "--dims", "2", "--seed", "1_0", "--out", "never.json"],
+        ["random", "--dims", "2", "--rank", "\u0661", "--out", "never.json"],
+        ["random", "--dims", "2", "--count", "1_0", "--out", "never.json"],
+        ["compare", "--a", "a.json", "--b", "b.json", "--max-degree", "1_0"],
+    ])
+    def test_digit_separator_counts(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid parse_int value" in captured.err
 
     def test_non_numeric_tol(self, tmp_path, capsys):
         # check_tol is the one reader of --tol, so main returns 2 instead of

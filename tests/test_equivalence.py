@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from traceinv import (
+    DEFAULT_TOL,
     Dims,
     OperatorTuple,
     UnsupportedSizeError,
+    Verdict,
     conjugate_local,
     decide_lu_equiv,
     enumerate_monomials,
     eval_contract,
     fingerprint,
+    generator_girth_cap,
     kron,
     lu_degree_bound,
     random_density,
@@ -20,6 +23,8 @@ from traceinv import (
     renyi_monomial,
     slocc_degree_bound,
 )
+
+from helpers import count_connectivity_tests
 
 
 def bell_density():
@@ -133,6 +138,26 @@ class TestDecide:
         va, vb = v.values
         assert abs(va - 0.5) < 1e-10
         assert abs(vb - 1.0) < 1e-10
+
+    def test_separated_stops_at_the_witness(self, monkeypatch):
+        dims = Dims((2, 2))
+        a = OperatorTuple(dims, (np.diag([0.5, 0, 0, 0.5]).astype(complex),))
+        b = OperatorTuple(dims, (np.diag([0.5, 0.5, 0, 0]).astype(complex),))
+        built = count_connectivity_tests(monkeypatch)
+        verdict = decide_lu_equiv(a, b, max_degree=5)
+        walked = len(built)
+        built.clear()
+        listing = enumerate_monomials(2, 1, 5, girth_cap=generator_girth_cap(dims), connected_only=True)
+        assert walked < len(built)
+        # the verdict of a walk over the whole listing, built first
+        for mon in listing:
+            va, vb = eval_contract(mon, a), eval_contract(mon, b)
+            if abs(va - vb) > DEFAULT_TOL * (1 + max(abs(va), abs(vb))):
+                break
+        assert verdict == Verdict(
+            separated=True, max_degree=5, tol=DEFAULT_TOL, normal_certified=True,
+            witness=mon, values=(va, vb),
+        )
 
     def test_same_tuple(self):
         rho = random_density(Dims((2, 2)), seed=53)

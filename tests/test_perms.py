@@ -26,7 +26,9 @@ from traceinv import (
     parse_perm_tuple,
     perm_from_cycles,
 )
-from traceinv.perms import compose, identity_perm, invert_perm
+from traceinv.perms import compose, identity_perm, invert_perm, iter_monomials, parse_int
+
+from helpers import count_connectivity_tests
 
 
 def perms_of(size):
@@ -86,6 +88,11 @@ class TestPermBasics:
         with pytest.raises(ValueError):
             parse_perm(bad, 4)
 
+    def test_parse_rejects_digit_separators(self):
+        # int() would read "1_1" as 11, a valid entry on 12 positions
+        with pytest.raises(ValueError, match="non-integer cycle entry"):
+            parse_perm("(1_1 1)", 12)
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -99,8 +106,20 @@ class TestPermBasics:
             parse_perm(text, 3)
 
 
+class TestParseInt:
+    @pytest.mark.parametrize("text, value", [("7", 7), ("+3", 3), ("-2", -2), (" 12 ", 12), ("007", 7)])
+    def test_accepts(self, text, value):
+        assert parse_int(text) == value
+
+    # int() accepts the first three; "\u0663" is an Arabic-Indic three
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff17", "", " ", "+", "1.0", "1e3", "0x1", "2 2"])
+    def test_rejects(self, text):
+        with pytest.raises(ValueError, match="invalid integer text"):
+            parse_int(text)
+
+
 class TestParseMonomial:
-    @pytest.mark.parametrize("text", ["a,b", "1,,2", "", "1.5", "1;2"])
+    @pytest.mark.parametrize("text", ["a,b", "1,,2", "", "1.5", "1;2", "1_0,1_0", "\u0661"])
     def test_non_integer_labels(self, text):
         with pytest.raises(ValueError, match="labels must be comma-separated integers, got"):
             parse_monomial(text, "()")
@@ -257,9 +276,16 @@ class TestEnumerate:
         with pytest.raises(UnsupportedSizeError):
             enumerate_monomials(4, 3, 6)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 1, 2), "n must be an integer >= 1, got 0"),
+        ((2, -1, 2), "m must be an integer >= 1, got -1"),
+        ((2, 1, 0), "max_degree must be an integer >= 1, got 0"),
+    ])
+    def test_counts_below_one(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_monomials(*args)
+
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            enumerate_monomials(0, 1, 2)
         with pytest.raises(ValueError):
             enumerate_monomials(2, 1, 2, girth_cap=(3,))
         # caps are integers >= 1; below 1 no permutation fits and the listing is empty
@@ -271,6 +297,46 @@ class TestEnumerate:
         a = enumerate_monomials(2, 2, 3, connected_only=True)
         b = enumerate_monomials(2, 2, 3, connected_only=True)
         assert a == b
+
+
+class TestIterMonomials:
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2, 2, 3), {}),
+        ((2, 2, 3), {"canonical": False}),
+        ((3, 1, 3), {"girth_cap": (2, 1, 3)}),
+        ((2, 1, 4), {"connected_only": True}),
+        ((2, 2, 4), {"girth_cap": (3, 3), "connected_only": True}),
+    ])
+    def test_yields_the_listing(self, args, kwargs):
+        assert list(iter_monomials(*args, **kwargs)) == enumerate_monomials(*args, **kwargs)
+
+    def test_prefix_needs_no_full_build(self, monkeypatch):
+        calls = count_connectivity_tests(monkeypatch)
+        full = enumerate_monomials(2, 1, 6, connected_only=True)
+        built = len(calls)
+        calls.clear()
+        assert list(itertools.islice(iter_monomials(2, 1, 6, connected_only=True), 3)) == full[:3]
+        assert len(calls) < built // 100
+
+    # each raises at the call, before the generator is first read
+    @pytest.mark.parametrize("args, kwargs, error", [
+        ((0, 1, 2), {}, ValueError),
+        ((2, 1, 0), {}, ValueError),
+        ((2, 1, 2), {"girth_cap": (3,)}, ValueError),
+        ((2, 1, 3), {"girth_cap": (1.5, 2)}, ValueError),
+        ((2, 1.5, 3), {}, TypeError),
+        ((1.0, 1, 2), {}, TypeError),
+        ((2, 1, 2.0), {}, TypeError),
+        ((2, 1, "3"), {}, TypeError),
+        ((1, 1, 7), {}, UnsupportedSizeError),   # MAX_DEGREE
+        ((4, 3, 6), {}, UnsupportedSizeError),   # ENUM_BUDGET
+    ])
+    def test_checks_at_the_call(self, args, kwargs, error):
+        with pytest.raises(error):
+            iter_monomials(*args, **kwargs)
+
+    def test_numpy_integer_counts(self):
+        assert list(iter_monomials(np.int64(2), np.int8(1), np.int32(3))) == enumerate_monomials(2, 1, 3)
 
 
 def _oracle_max_cycle(p):
