@@ -29,7 +29,7 @@ from .core import (
     partial_trace,
 )
 from .evaluate import eval_contract
-from .perms import TraceMonomial, identity_perm, iter_monomials
+from .perms import TraceMonomial, _iter_monomials, identity_perm
 
 
 def generator_girth_cap(dims):
@@ -89,7 +89,7 @@ def _invariants(tuples, max_degree):
     further.
     """
     dims = tuples[0].dims
-    mons = iter_monomials(
+    mons = _iter_monomials(
         dims.n, tuples[0].m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
     )
     for mon in mons:

@@ -98,8 +98,7 @@ def parse_int(text):
     """The integer written in ``text``: an optional sign and ASCII digits,
     surrounding whitespace ignored.  Unlike ``int``, digit separators
     ("1_0") and non-ASCII digits raise ValueError."""
-    # plain ASCII digits, the common case, skip the pattern
-    if not (text.isascii() and text.isdigit()) and not _INT_RE.fullmatch(text.strip()):
+    if not _INT_RE.fullmatch(text.strip()):
         raise ValueError(f"invalid integer text: {text!r}")
     return int(text)
 
@@ -429,17 +428,17 @@ def enumerate_monomials(
     an optional per-row cap on the maximum cycle length, each an integer
     >= 1; ``connected_only`` keeps only monomials whose contraction network
     is connected (the rest are products of smaller ones).  Output is sorted by degree, then by
-    ``(labels, perms)``, so it is deterministic.  ``iter_monomials`` yields
+    ``(labels, perms)``, so it is deterministic.  ``_iter_monomials`` yields
     the same listing lazily.
 
     n, m and max_degree must be integers >= 1: a float raises TypeError.
     The budget bounds the raw (P, sigma) count, sum over ell of
     (ell!)^n * m^ell, for both listings.
     """
-    return list(iter_monomials(n, m, max_degree, girth_cap, connected_only, canonical))
+    return list(_iter_monomials(n, m, max_degree, girth_cap, connected_only, canonical))
 
 
-def iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, canonical=True):
+def _iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, canonical=True):
     """A generator over the listing of ``enumerate_monomials``, taking the
     same arguments.
 
@@ -460,7 +459,7 @@ def iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, canon
 
 
 def _generate(m, max_degree, caps, connected_only, canonical):
-    """The listing of ``iter_monomials`` for checked arguments, one cap (or
+    """The listing of ``_iter_monomials`` for checked arguments, one cap (or
     None) per row.
 
     The canonical listing is generated in order, without a dedup set over

@@ -26,7 +26,7 @@ from traceinv import (
     parse_perm_tuple,
     perm_from_cycles,
 )
-from traceinv.perms import compose, identity_perm, invert_perm, iter_monomials, parse_int
+from traceinv.perms import _iter_monomials, compose, identity_perm, invert_perm, parse_int
 
 from helpers import count_connectivity_tests
 
@@ -308,14 +308,14 @@ class TestIterMonomials:
         ((2, 2, 4), {"girth_cap": (3, 3), "connected_only": True}),
     ])
     def test_yields_the_listing(self, args, kwargs):
-        assert list(iter_monomials(*args, **kwargs)) == enumerate_monomials(*args, **kwargs)
+        assert list(_iter_monomials(*args, **kwargs)) == enumerate_monomials(*args, **kwargs)
 
     def test_prefix_needs_no_full_build(self, monkeypatch):
         calls = count_connectivity_tests(monkeypatch)
         full = enumerate_monomials(2, 1, 6, connected_only=True)
         built = len(calls)
         calls.clear()
-        assert list(itertools.islice(iter_monomials(2, 1, 6, connected_only=True), 3)) == full[:3]
+        assert list(itertools.islice(_iter_monomials(2, 1, 6, connected_only=True), 3)) == full[:3]
         assert len(calls) < built // 100
 
     # each raises at the call, before the generator is first read
@@ -333,10 +333,10 @@ class TestIterMonomials:
     ])
     def test_checks_at_the_call(self, args, kwargs, error):
         with pytest.raises(error):
-            iter_monomials(*args, **kwargs)
+            _iter_monomials(*args, **kwargs)
 
     def test_numpy_integer_counts(self):
-        assert list(iter_monomials(np.int64(2), np.int8(1), np.int32(3))) == enumerate_monomials(2, 1, 3)
+        assert list(_iter_monomials(np.int64(2), np.int8(1), np.int32(3))) == enumerate_monomials(2, 1, 3)
 
 
 def _oracle_max_cycle(p):
