@@ -20,7 +20,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Dims, OperatorTuple, check_tol, random_density
 from .diagram import render_svg
 from .equivalence import decide_lu_equiv, lu_degree_bound, slocc_degree_bound
-from .errors import MAX_BOUND_DIGITS, UnsupportedSizeError, check_size
+from .errors import MAX_BOUND_DIGITS, UnsupportedSizeError, check_count, check_size
 from .evaluate import eval_contract, eval_reference
 from .perms import enumerate_monomials, factorize, parse_int, parse_monomial
 from .slocc import eval_slocc
@@ -145,7 +145,8 @@ def _cmd_random(args):
     dims = Dims(_ints(args.dims, "--dims"))
     rng = np.random.default_rng(args.seed)
     if args.kind == "density":
-        mats = tuple(random_density(dims, rank=args.rank, seed=rng) for _ in range(args.count))
+        count = check_count(args.count, "--count")
+        mats = tuple(random_density(dims, rank=args.rank, seed=rng) for _ in range(count))
         save_operator_tuple(args.out, OperatorTuple(dims, mats))
     else:
         if any(d != 2 for d in dims.sizes):

@@ -15,6 +15,8 @@ from operator import index
 
 import numpy as np
 
+from .errors import check_count
+
 #: Default absolute tolerance for numeric certificates.
 DEFAULT_TOL = 1e-10
 
@@ -251,9 +253,8 @@ def random_density(dims, rank=None, seed=None) -> np.ndarray:
     """
     dims = as_dims(dims)
     D = dims.total
-    if rank is None:
-        rank = D
-    if not 1 <= rank <= D:
+    rank = D if rank is None else check_count(rank, "rank")
+    if rank > D:
         raise ValueError(f"rank must be in [1, {D}], got {rank}")
     rng = _rng(seed)
     G = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))

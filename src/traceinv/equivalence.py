@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
-from operator import index
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .core import (
     is_normal,
     partial_trace,
 )
+from .errors import check_count
 from .evaluate import eval_contract
 from .perms import TraceMonomial, _iter_monomials, identity_perm
 
@@ -47,9 +47,7 @@ def lu_degree_bound(dims, m=1) -> int:
     max{2, ceil((3/8) * max d_i * m^2 * D^4 * (2n)^(2*delta))} with
     D = prod d_i and delta = sum (d_i - 1).  Exact integer arithmetic.
     """
-    dims, m = as_dims(dims), index(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    dims, m = as_dims(dims), check_count(m, "m")
     delta = sum(d - 1 for d in dims.sizes)
     val = Fraction(3, 8) * max(dims.sizes) * m**2 * dims.total**4 * (2 * dims.n) ** (2 * delta)
     return max(2, ceil(val))
@@ -58,9 +56,7 @@ def lu_degree_bound(dims, m=1) -> int:
 def slocc_degree_bound(n, m=1) -> int:
     """Generating-degree cutoff for the SLOCC invariants of m pure n-qubit
     states: max{2, ceil((3/2) * m^2 * (2^n)^2 * n^(6n))}."""
-    n, m = index(n), index(m)
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = check_count(n, "n"), check_count(m, "m")
     val = Fraction(3, 2) * m**2 * (2**n) ** 2 * n ** (6 * n)
     return max(2, ceil(val))
 
@@ -103,6 +99,7 @@ def fingerprint(ops: OperatorTuple, max_degree) -> Fingerprint:
     cap (see ``_invariants``); for other listings use ``enumerate_monomials``
     and ``eval_contract``.
     """
+    max_degree = check_count(max_degree, "max_degree")
     invariants = _invariants((ops,), max_degree)
     return Fingerprint(
         dims=ops.dims.sizes,
@@ -138,8 +135,9 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
     verdict at the first monomial (in enumeration order) where
     |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
     indistinguishable-up-to verdict.  Tuples must share dims and length, and
-    tol must be finite and >= 0.
+    tol must be finite and >= 0.  Arguments are checked before any work.
     """
+    max_degree = check_count(max_degree, "max_degree")
     tol = check_tol(tol)
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims.sizes} vs {b.dims.sizes}")
@@ -165,20 +163,13 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
     return Verdict(separated=False, max_degree=max_degree, tol=tol, normal_certified=normal)
 
 
-def _renyi_order(q) -> int:
-    """q as an int: the Renyi order is an integer >= 2, numpy integers included."""
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
-        raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    return int(q)
-
-
 def renyi_monomial(n, trace_out, q) -> TraceMonomial:
     """The trace monomial computing Tr((Tr_A rho)^q) for a single density.
 
     q boxes all holding one operator, q an integer >= 2; rows for traced-out
     subsystems (A, indices in range(n)) carry the identity, the others one q-cycle.
     """
-    q = _renyi_order(q)
+    n, q = check_count(n, "n"), check_count(q, "q", least=2)
     trace_out = _subsystems(trace_out, n, "trace_out")
     cycle = tuple((j + 1) % q for j in range(q))
     perms = tuple(identity_perm(q) if i in trace_out else cycle for i in range(n))
@@ -194,7 +185,7 @@ def renyi_entropy(rho, dims, trace_out, q, tol=DEFAULT_TOL) -> float:
     """
     dims = as_dims(dims)
     tol = check_tol(tol)
-    q = _renyi_order(q)
+    q = check_count(q, "q", least=2)
     trace_out = _subsystems(trace_out, dims.n, "trace_out")
     if not 0 < len(trace_out) < dims.n:
         raise ValueError("trace_out must be a nonempty proper subset of the subsystems")

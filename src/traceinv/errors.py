@@ -1,4 +1,7 @@
-"""Package-wide exception types and the size envelopes they enforce."""
+"""Package-wide exception types, the size envelopes they enforce, and the
+rule for integer counts."""
+
+from operator import index
 
 #: Hard cap on monomial degree for enumeration / canonicalization.
 MAX_DEGREE = 6
@@ -37,3 +40,15 @@ def check_size(what, value, limit):
     ``what``, exceeds ``limit``."""
     if value > limit:
         raise UnsupportedSizeError(f"{what} = {value} exceeds the supported limit {limit}")
+
+
+def check_count(value, name, least=1):
+    """``value`` as an int >= ``least``, else ValueError naming ``name``.
+
+    A float, a string or None raises TypeError; numpy integers are
+    returned as ints.
+    """
+    value = index(value)
+    if value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return value

@@ -19,10 +19,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
-from numbers import Integral
 from operator import index
 
-from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_size
+from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_count, check_size
 
 
 def identity_perm(size):
@@ -403,14 +402,6 @@ def _orbit_minima(rows, group):
             yield (r, *rest)
 
 
-def _count(value, name):
-    """``value`` as an int >= 1; a float or a string raises TypeError."""
-    value = index(value)
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
-    return value
-
-
 def enumerate_monomials(
     n,
     m,
@@ -425,13 +416,14 @@ def enumerate_monomials(
     is returned: the lexicographically least member, which is what
     ``canonical_form`` returns.  With ``canonical=False`` the raw product
     listing is returned (every (P, sigma) pair, no dedup).  ``girth_cap`` is
-    an optional per-row cap on the maximum cycle length, each an integer
-    >= 1; ``connected_only`` keeps only monomials whose contraction network
+    an optional per-row cap on the maximum cycle length, one entry per row;
+    ``connected_only`` keeps only monomials whose contraction network
     is connected (the rest are products of smaller ones).  Output is sorted by degree, then by
     ``(labels, perms)``, so it is deterministic.  ``_iter_monomials`` yields
     the same listing lazily.
 
-    n, m and max_degree must be integers >= 1: a float raises TypeError.
+    n, m, max_degree and each ``girth_cap`` entry are counts under
+    ``errors.check_count``: integers >= 1, where a float raises TypeError.
     The budget bounds the raw (P, sigma) count, sum over ell of
     (ell!)^n * m^ell, for both listings.
     """
@@ -446,12 +438,14 @@ def _iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, cano
     call; the monomials are generated as they are read, so a caller that
     stops early pays only for the monomials it read.
     """
-    n, m, max_degree = _count(n, "n"), _count(m, "m"), _count(max_degree, "max_degree")
+    n, m = check_count(n, "n"), check_count(m, "m")
+    max_degree = check_count(max_degree, "max_degree")
     check_size("max_degree", max_degree, MAX_DEGREE)
     if girth_cap is not None:
         girth_cap = tuple(girth_cap)
-        if len(girth_cap) != n or not all(isinstance(c, Integral) and c >= 1 for c in girth_cap):
+        if len(girth_cap) != n:
             raise ValueError(f"girth_cap must have one integer >= 1 per row, got {girth_cap}")
+        girth_cap = tuple(check_count(c, "girth_cap entry") for c in girth_cap)
 
     work = sum(factorial(ell) ** n * m**ell for ell in range(1, max_degree + 1))
     check_size("enumeration candidates (reduce max_degree, n or m)", work, ENUM_BUDGET)

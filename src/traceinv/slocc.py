@@ -28,7 +28,7 @@ from .core import (
     kron,
     random_local_invertible,
 )
-from .errors import UnsupportedSizeError
+from .errors import UnsupportedSizeError, check_count
 from .evaluate import _check_compat, _plan, eval_contract
 from .perms import TraceMonomial
 
@@ -38,9 +38,7 @@ DUALITY = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 def duality_form(n) -> np.ndarray:
     """n-fold Kronecker power of the symplectic form."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return kron([DUALITY] * n)
+    return kron([DUALITY] * check_count(n, "n"))
 
 
 # one read-only entry per qubit count seen, each half the size of one row
@@ -105,9 +103,7 @@ def random_sl2_tuple(n, seed=None, max_cond=DEFAULT_MAX_COND) -> list[np.ndarray
     The draws of ``random_local_invertible`` on n qubits, each rescaled by a
     square root of its determinant.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return [
         g / np.sqrt(np.linalg.det(g))
-        for g in random_local_invertible((2,) * n, seed, max_cond)
+        for g in random_local_invertible((2,) * check_count(n, "n"), seed, max_cond)
     ]

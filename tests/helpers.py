@@ -1,7 +1,9 @@
 """Random inputs and call counters shared by the test modules."""
 
+import numpy as np
+
 import traceinv.perms
-from traceinv import TraceMonomial
+from traceinv import Dims, OperatorTuple, TraceMonomial, random_density
 
 
 def crandn(rng, *shape):
@@ -21,3 +23,33 @@ def count_connectivity_tests(monkeypatch):
     real = traceinv.perms.is_connected
     monkeypatch.setattr(traceinv.perms, "is_connected", lambda mon: calls.append(mon) or real(mon))
     return calls
+
+
+# (dims, m, max_degree, the degree at which the walk first separates) for
+# ``conjugate_pair``: the imaginary parts that separate the degree-5 pairs
+# are about 1e-5, and no invariant below that degree has one above tol
+CONJUGATE_CASES = [
+    ((2, 3), 1, 5, 5),
+    ((3, 3), 1, 5, 5),
+    ((2, 2, 2), 1, 4, 3),
+    ((2, 2), 2, 4, 3),
+]
+
+
+def conjugate_pair(dims, m):
+    """A tuple of m random densities (seed 7) and its entrywise complex
+    conjugate.  Each invariant of the conjugate is the conjugate of the
+    original's, so only the non-real invariants separate the two."""
+    rng = np.random.default_rng(7)
+    dims = Dims(dims)
+    mats = tuple(random_density(dims, seed=rng) for _ in range(m))
+    return OperatorTuple(dims, mats), OperatorTuple(dims, tuple(M.conj() for M in mats))
+
+
+def scaled_pair(tol, factor):
+    """diag(.5, .5) on dims (2,) and (1 + delta) times it, with the gap of
+    the degree-1 invariant, delta, at ``factor`` times its threshold
+    tol * (1 + max|v|) = tol * (2 + delta)."""
+    delta = 2 * factor * tol / (1 - factor * tol)
+    A = np.diag([0.5, 0.5]).astype(complex)
+    return OperatorTuple(Dims((2,)), (A,)), OperatorTuple(Dims((2,)), ((1 + delta) * A,))

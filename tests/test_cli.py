@@ -6,6 +6,8 @@ import pytest
 from traceinv import Dims, OperatorTuple, cli, save_operator_tuple, save_pure_state
 from traceinv.cli import format_value, main
 
+from helpers import CONJUGATE_CASES, conjugate_pair, scaled_pair
+
 
 def bell_density_file(tmp_path, name="bell.json"):
     v = np.zeros(4, dtype=complex)
@@ -247,6 +249,34 @@ class TestCompare:
         code = main(["compare", "--a", a, "--b", b, "--max-degree", "2", "--tol", "1e-10"])
         assert code == 1
 
+    @pytest.mark.parametrize("dims, m, max_degree, degree", CONJUGATE_CASES)
+    def test_conjugate_pair_separated(self, tmp_path, capsys, dims, m, max_degree, degree):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, ops in zip((a, b), conjugate_pair(dims, m)):
+            save_operator_tuple(path, ops)
+        argv = ["compare", "--a", str(a), "--b", str(b), "--max-degree", str(max_degree)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith(f"SEPARATED degree={degree} ")
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-06"])
+    @pytest.mark.parametrize("via", ["--tol", "TRACEINV_TOL"])
+    def test_tolerance_boundary(self, tmp_path, capsys, monkeypatch, tol, via):
+        a, below = scaled_pair(float(tol), 0.5)
+        _, above = scaled_pair(float(tol), 2)
+        paths = [tmp_path / name for name in ("a.json", "below.json", "above.json")]
+        for path, ops in zip(paths, (a, below, above)):
+            save_operator_tuple(path, ops)
+        if via == "TRACEINV_TOL":
+            monkeypatch.setenv("TRACEINV_TOL", tol)
+            extra = []
+        else:
+            extra = ["--tol", tol]
+        argv = ["compare", "--a", str(paths[0]), "--max-degree", "4", *extra, "--b"]
+        assert main(argv + [str(paths[1])]) == 0
+        assert capsys.readouterr().out == "INDISTINGUISHABLE_UP_TO 4\n"
+        assert main(argv + [str(paths[2])]) == 1
+        assert capsys.readouterr().out.startswith('SEPARATED degree=1 monomial="1 ()" ')
+
 
 class TestEnumerate:
     def test_three_lines(self, capsys):
@@ -424,6 +454,14 @@ class TestRandomAndRender:
         code = main(["random", "--dims", "3", "--kind", "pure",
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_random_count_below_one(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["random", "--dims", "2", "--count", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --count must be an integer >= 1, got 0\n"
+        assert not out.exists()
 
     def test_render(self, tmp_path, capsys):
         out = tmp_path / "net.svg"

@@ -24,7 +24,7 @@ from traceinv import (
     slocc_degree_bound,
 )
 
-from helpers import count_connectivity_tests
+from helpers import CONJUGATE_CASES, conjugate_pair, count_connectivity_tests, scaled_pair
 
 
 def bell_density():
@@ -241,6 +241,51 @@ class TestDecide:
         with pytest.raises(ValueError, match="tol"):
             decide_lu_equiv(a, a, max_degree=2, tol=bad)
 
+    def test_max_degree_checked_before_any_work(self):
+        # a non-normal input would warn first if the scan ran before the check
+        ops = OperatorTuple(Dims((2,)), (np.array([[1, 1], [0, 1]], dtype=complex),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="max_degree must be an integer >= 1, got 0"):
+                decide_lu_equiv(ops, ops, max_degree=0)
+            with pytest.raises(TypeError):
+                decide_lu_equiv(ops, ops, max_degree=2.0)
+
+    def test_max_degree_stored_as_int(self):
+        ops = OperatorTuple(Dims((2,)), (np.eye(2) / 2,))
+        assert type(fingerprint(ops, np.int64(2)).max_degree) is int
+        assert type(decide_lu_equiv(ops, ops, max_degree=np.int64(2)).max_degree) is int
+
+
+class TestNoFalseIndistinguishable:
+    @pytest.mark.parametrize("dims, m, max_degree, degree", CONJUGATE_CASES)
+    def test_conjugate_pair_separated(self, dims, m, max_degree, degree):
+        a, b = conjugate_pair(dims, m)
+        v = decide_lu_equiv(a, b, max_degree=max_degree)
+        assert v.separated
+        assert v.witness.degree == degree
+        va, vb = v.values
+        assert abs(va - vb.conjugate()) < 1e-12
+        assert not decide_lu_equiv(a, b, max_degree=degree - 1).separated
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_tolerance_boundary(self, tol):
+        a, below = scaled_pair(tol, 0.5)
+        _, above = scaled_pair(tol, 2)
+        assert not decide_lu_equiv(a, below, max_degree=4, tol=tol).separated
+        v = decide_lu_equiv(a, above, max_degree=4, tol=tol)
+        assert v.separated
+        assert str(v.witness) == "1 ()"
+
+    def test_non_normal_b_only(self):
+        dims = Dims((2,))
+        a = OperatorTuple(dims, (np.zeros((2, 2), dtype=complex),))
+        b = OperatorTuple(dims, (np.array([[0, 1], [0, 0]], dtype=complex),))
+        with pytest.warns(UserWarning, match="not certified normal"):
+            v = decide_lu_equiv(a, b, max_degree=2)
+        assert not v.normal_certified
+        assert not v.separated
+
 
 class TestRenyi:
     def test_bell(self):
@@ -281,14 +326,19 @@ class TestRenyi:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
             renyi_entropy(bell_density(), Dims((2, 2)), {0}, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             renyi_entropy(bell_density(), Dims((2, 2)), {0}, 2.5)
 
     @pytest.mark.parametrize("q", [1, 0, -2, 2.5, 2.0, "2", True, None])
     def test_monomial_rejects_bad_q(self, q):
-        # q = 1 would give Tr rho, which is no Renyi quantity
-        with pytest.raises(ValueError, match="q must be an integer >= 2"):
-            renyi_monomial(2, [0], q)
+        # q = 1 would give Tr rho, which is no Renyi quantity; a q that is no
+        # integer at all is a TypeError, as for every count
+        if isinstance(q, int):
+            with pytest.raises(ValueError, match="q must be an integer >= 2"):
+                renyi_monomial(2, [0], q)
+        else:
+            with pytest.raises(TypeError):
+                renyi_monomial(2, [0], q)
 
     def test_monomial_numpy_integer_q(self):
         mon = renyi_monomial(2, [0], np.int64(3))

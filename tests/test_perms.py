@@ -289,9 +289,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_monomials(2, 1, 2, girth_cap=(3,))
         # caps are integers >= 1; below 1 no permutation fits and the listing is empty
-        for cap in [(0, 0), (1, 0), (-1, 2), (1.5, 2)]:
-            with pytest.raises(ValueError):
+        for cap in [(0, 0), (1, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match="girth_cap entry must be an integer >= 1"):
                 enumerate_monomials(2, 1, 3, girth_cap=cap)
+        with pytest.raises(TypeError):
+            enumerate_monomials(2, 1, 3, girth_cap=(1.5, 2))
 
     def test_deterministic(self):
         a = enumerate_monomials(2, 2, 3, connected_only=True)
@@ -323,7 +325,7 @@ class TestIterMonomials:
         ((0, 1, 2), {}, ValueError),
         ((2, 1, 0), {}, ValueError),
         ((2, 1, 2), {"girth_cap": (3,)}, ValueError),
-        ((2, 1, 3), {"girth_cap": (1.5, 2)}, ValueError),
+        ((2, 1, 3), {"girth_cap": (1.5, 2)}, TypeError),
         ((2, 1.5, 3), {}, TypeError),
         ((1.0, 1, 2), {}, TypeError),
         ((2, 1, 2.0), {}, TypeError),

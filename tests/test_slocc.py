@@ -112,7 +112,7 @@ class TestEmbedding:
         assert np.allclose(S, kron([DUALITY, DUALITY, DUALITY]))
 
     def test_duality_form_needs_a_qubit(self):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             duality_form(0)
 
 

@@ -1,0 +1,153 @@
+"""Check that the tier-1 tests kill a fixed list of hand-made mutants.
+
+Each mutant is one textual edit (file, old, new) to the package source;
+``old`` must occur exactly once in its file.  For each mutant the script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the edit there, runs the tier-1 tests and records
+whether they fail (the mutant is killed) or pass (it survived).  The
+unmutated copy runs first as a control and must pass.  The repository
+itself is never written.
+
+Run from anywhere:  python tools/mutants.py
+Exits 0 when every mutant is killed, 1 otherwise.  The tests stop at the
+first failure, so a full run takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = "src/traceinv/"
+
+#: A run that takes longer than this hangs, which is a failure too.
+TIMEOUT_S = 600
+
+# (name, file, old, new)
+MUTANTS = [
+    # the verdict path: each of these turns a separated pair into a false
+    # INDISTINGUISHABLE
+    (
+        "real_only",
+        "equivalence.py",
+        "if abs(va - vb) > tol",
+        "if abs((va - vb).real) > tol",
+    ),
+    (
+        "last_degree",
+        "equivalence.py",
+        "dims.n, tuples[0].m, max_degree, girth_cap",
+        "dims.n, tuples[0].m, max_degree - (max_degree > 3), girth_cap",
+    ),
+    (
+        "tol_loose",
+        "equivalence.py",
+        "> tol * (1 + max(abs(va), abs(vb)))",
+        "> 1000 * tol * (1 + max(abs(va), abs(vb)))",
+    ),
+    (
+        "normal_a_only",
+        "equivalence.py",
+        "normal = all(is_normal(M) for M in a.matrices) and all(is_normal(M) for M in b.matrices)",
+        "normal = all(is_normal(M) for M in a.matrices)",
+    ),
+    (
+        "girth_cap_small",
+        "equivalence.py",
+        "d * (d + 1) // 2 if d <= 3",
+        "d * (d + 1) // 2 - 1 if d <= 3",
+    ),
+    (
+        "normal_always",
+        "core.py",
+        "return bool(np.max(np.abs(M @ H - H @ M)) <= tol)",
+        "return True",
+    ),
+    (
+        "label_off_by_one",
+        "evaluate.py",
+        "if max(mon.labels) >= m:",
+        "if max(mon.labels) > m:",
+    ),
+    (
+        "slocc_signs_plus",
+        "slocc.py",
+        "s = np.concatenate([s, -s])",
+        "s = np.concatenate([s, s])",
+    ),
+    (
+        "stabilizer_whole_group",
+        "perms.py",
+        "            if c == r:\n                stabilizer.append((tau, tau_inv))",
+        "            stabilizer.append((tau, tau_inv))",
+    ),
+    (
+        "contract_not_finite",
+        "evaluate.py",
+        "return _finite(complex(operands[0]))",
+        "return complex(operands[0])",
+    ),
+    (
+        "count_least_excluded",
+        "errors.py",
+        "if value < least:",
+        "if value <= least:",
+    ),
+]
+
+
+def _check_unique():
+    for name, file, old, _ in MUTANTS:
+        found = (ROOT / PKG / file).read_text().count(old)
+        if found != 1:
+            sys.exit(f"mutant {name}: its text occurs {found} times in {PKG}{file}, not once")
+
+
+def _run_tests(mutant=None):
+    """Run tier-1 on a fresh copy with ``mutant`` applied; True if it passes."""
+    with tempfile.TemporaryDirectory(prefix="traceinv-mutant-") as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", tmp)
+        if mutant is not None:
+            _, file, old, new = mutant
+            path = tmp / PKG / file
+            path.write_text(path.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors"]
+        try:
+            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False
+        return done.returncode == 0
+
+
+def main():
+    _check_unique()
+    start = time.perf_counter()
+    if not _run_tests():
+        print("control: the unmutated tests fail, so no mutant can be judged")
+        return 1
+    print(f"control: passed in {time.perf_counter() - start:.1f} s")
+    survivors = []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        survived = _run_tests(mutant)
+        verdict = "SURVIVED" if survived else "killed"
+        print(f"{mutant[0]:<24} {verdict:<8} {time.perf_counter() - start:6.1f} s", flush=True)
+        if survived:
+            survivors.append(mutant[0])
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
