@@ -145,10 +145,13 @@ def _cmd_random(args):
     dims = Dims(_ints(args.dims, "--dims"))
     rng = np.random.default_rng(args.seed)
     if args.kind == "density":
-        count = check_count(args.count, "--count")
+        count = check_count(1 if args.count is None else args.count, "--count")
         mats = tuple(random_density(dims, rank=args.rank, seed=rng) for _ in range(count))
         save_operator_tuple(args.out, OperatorTuple(dims, mats))
     else:
+        for option, value in (("--count", args.count), ("--rank", args.rank)):
+            if value is not None:
+                raise ValueError(f"{option} applies to --kind density only")
         if any(d != 2 for d in dims.sizes):
             raise ValueError("pure states need --dims with all entries 2")
         v = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
@@ -214,7 +217,7 @@ def build_parser():
     p = sub.add_parser("random", help="write a random state file")
     p.add_argument("--dims", required=True)
     p.add_argument("--rank", type=parse_int, default=None)
-    p.add_argument("--count", type=parse_int, default=1, help="matrices per tuple")
+    p.add_argument("--count", type=parse_int, default=None, help="matrices per tuple (default 1)")
     p.add_argument("--seed", type=parse_int, default=None)
     p.add_argument("--kind", choices=["density", "pure"], default="density")
     p.add_argument("--out", required=True)

@@ -28,7 +28,7 @@ from .core import (
     partial_trace,
 )
 from .errors import check_count
-from .evaluate import eval_contract
+from .evaluate import _run
 from .perms import TraceMonomial, _iter_monomials, identity_perm
 
 
@@ -76,20 +76,22 @@ class Fingerprint:
 
 
 def _invariants(tuples, max_degree):
-    """Lazily yield ``(mon, values on each tuple)`` in enumeration order.
+    """A lazy stream of ``(mon, values on each tuple)`` in enumeration order.
 
     The monomials, from the first tuple (all share dims and length), are
     the connected canonical ones with rows within ``generator_girth_cap``:
-    the others are products of these or polynomials in them.  They are
-    generated as they are read, so a caller that stops early enumerates no
-    further.
+    the others are products of these or polynomials in them.  The arguments,
+    ``MAX_DEGREE`` and the enumeration budget are checked here, at the call.
+    The monomials are generated as they are read, so a caller that stops
+    early enumerates no further, and each runs once on all the tuples,
+    stacked along the batch axis of ``evaluate._run``.
     """
     dims = tuples[0].dims
     mons = _iter_monomials(
         dims.n, tuples[0].m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
     )
-    for mon in mons:
-        yield mon, tuple(eval_contract(mon, ops) for ops in tuples)
+    stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(tuples[0].m)]
+    return ((mon, _run(mon, dims.sizes, stacks)) for mon in mons)
 
 
 def fingerprint(ops: OperatorTuple, max_degree) -> Fingerprint:
@@ -135,7 +137,9 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
     verdict at the first monomial (in enumeration order) where
     |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
     indistinguishable-up-to verdict.  Tuples must share dims and length, and
-    tol must be finite and >= 0.  Arguments are checked before any work.
+    tol must be finite and >= 0.  Arguments, ``MAX_DEGREE`` and the
+    enumeration budget are checked before any work, the normality scan
+    included.
     """
     max_degree = check_count(max_degree, "max_degree")
     tol = check_tol(tol)
@@ -143,6 +147,7 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
         raise ValueError(f"dimension mismatch: {a.dims.sizes} vs {b.dims.sizes}")
     if a.m != b.m:
         raise ValueError(f"tuple length mismatch: {a.m} vs {b.m}")
+    invariants = _invariants((a, b), max_degree)
     normal = all(is_normal(M) for M in a.matrices) and all(is_normal(M) for M in b.matrices)
     if not normal:
         warnings.warn(
@@ -150,7 +155,7 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
             "for local-unitary equivalence but may not be sufficient",
             stacklevel=2,
         )
-    for mon, (va, vb) in _invariants((a, b), max_degree):
+    for mon, (va, vb) in invariants:
         if abs(va - vb) > tol * (1 + max(abs(va), abs(vb))):
             return Verdict(
                 separated=True,

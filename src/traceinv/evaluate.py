@@ -24,7 +24,10 @@ einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step,
 between transposes and reshapes), and an LRU cache of 2**14 networks keeps
 the programs.  The cache stores no call that raised, so nothing outside the
 envelopes is planned or cached, and a hit skips only checks its key has
-already passed.
+already passed.  Every operand of a program carries a leading batch axis,
+so one run evaluates a monomial on a stack of T tuples at once: ``_run``
+is the one runner, ``eval_contract`` calls it with T = 1, and
+``equivalence`` with both tuples of a comparison stacked.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -113,7 +116,9 @@ def _plan(perms, sizes):
     (positions, run, args), and ``run(args, *operands)`` replaces the
     operands at ``positions``, popped in that order, by one result appended
     at the end.  numpy names an intermediate's indices in order of
-    (dimension, subscript), and the last step yields the scalar.
+    (dimension, subscript), and the last step yields the scalar.  Every
+    operand, the boxes included, has a leading batch axis: each stored
+    shape starts with -1, and each transpose keeps axis 0 in front.
     """
     ell = len(perms[0])
     rows = [i for i, d in enumerate(sizes) if d > 1]
@@ -139,7 +144,7 @@ def _plan(perms, sizes):
         out = tuple(sorted(set().union(*ins) & set().union(*subs), key=lambda x: (dim[x], x)))
         subs.append(out)
         steps.append((positions, *_step(ins, out, dim)))
-    return shape, tuple(steps)
+    return (-1, *shape), tuple(steps)
 
 
 def _step(ins, out, dim):
@@ -155,12 +160,12 @@ def _step(ins, out, dim):
     inserted.  Any other step is a plain einsum.
     """
     if len(ins) != 2:
-        return _einsum_step, (ins, out)
+        return _einsum_step, ([(..., *t) for t in ins], (..., *out))
     a, b = ins
     con = [x for x in a if x in b and x not in out]
     if not con:
         return _multiply_step, tuple(
-            _prep(t, [x for x in out if x in t], [dim[x] if x in t else 1 for x in out])
+            _prep(t, [x for x in out if x in t], (-1, *[dim[x] if x in t else 1 for x in out]))
             for t in (a, b)
         )
     a_keep = [x for x in a if x in out]
@@ -168,10 +173,10 @@ def _step(ins, out, dim):
     kept = a_keep + b_keep
     con_size = prod(dim[x] for x in con)
     return _matmul_step, (
-        _prep(a, a_keep + con, (prod(dim[x] for x in a_keep), con_size)),
-        _prep(b, con + b_keep, (con_size, prod(dim[x] for x in b_keep))),
-        tuple(dim[x] for x in kept),
-        None if tuple(kept) == out else tuple(map(kept.index, out)),
+        _prep(a, a_keep + con, (-1, prod(dim[x] for x in a_keep), con_size)),
+        _prep(b, con + b_keep, (-1, con_size, prod(dim[x] for x in b_keep))),
+        (-1, *[dim[x] for x in kept]),
+        None if tuple(kept) == out else (0, *[kept.index(x) + 1 for x in out]),
     )
 
 
@@ -183,8 +188,8 @@ def _prep(term, want, shape):
     if term == want:
         return None, None, shape
     if len(set(term)) < len(term):
-        return (term, want), None, shape
-    return None, tuple(map(term.index, want)), shape
+        return ((..., *term), (..., *want)), None, shape
+    return None, (0, *[term.index(x) + 1 for x in want]), shape
 
 
 def _prepared(x, prep):
@@ -212,6 +217,19 @@ def _einsum_step(args, *operands):
     return np.einsum(*[x for pair in zip(operands, terms) for x in pair], out)
 
 
+def _run(mon: TraceMonomial, sizes, matrices) -> tuple[complex, ...]:
+    """The values of ``mon`` on T tuples at once, each checked by ``_finite``.
+
+    ``matrices[label]`` is a (D, D) matrix (T = 1) or a (T, D, D) stack; the
+    step program of (perms, sizes) runs once on the whole stack.
+    """
+    shape, steps = _plan(mon.perms, sizes)
+    operands = [matrices[label].reshape(shape) for label in mon.labels]
+    for positions, run, args in steps:
+        operands.append(run(args, *[operands.pop(p) for p in positions]))
+    return tuple(map(_finite, operands[0].tolist()))
+
+
 def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     """Tensor-network engine: a contraction of one tensor per box.
 
@@ -222,7 +240,8 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     on that box.  Contraction order is numpy's greedy path with each
     intermediate capped at D^4 elements rather than numpy's default cap, the
     largest input (D^2), under which greedy can fall back to one naive
-    contraction of the remaining boxes.
+    contraction of the remaining boxes.  The value is one run of the
+    batched runner ``_run`` with a batch of one (module docstring).
 
     Raises ValueError when the rows or labels do not fit the tuple, and
     UnsupportedSizeError past the box, total-dimension or subscript
@@ -233,8 +252,5 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     to rounding.
     """
     _check_compat(mon, ops.dims, ops.m)
-    shape, steps = _plan(mon.perms, ops.dims.sizes)
-    operands = [ops.matrices[label].reshape(shape) for label in mon.labels]
-    for positions, run, args in steps:
-        operands.append(run(args, *[operands.pop(p) for p in positions]))
-    return _finite(complex(operands[0]))
+    (value,) = _run(mon, ops.dims.sizes, ops.matrices)
+    return value

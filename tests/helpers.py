@@ -1,6 +1,7 @@
 """Random inputs and call counters shared by the test modules."""
 
 import numpy as np
+from numpy.lib import NumpyVersion
 
 import traceinv.perms
 from traceinv import Dims, OperatorTuple, TraceMonomial, random_density
@@ -10,10 +11,28 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_ops(rng, dims, m):
+    """m complex Gaussian matrices on dims: neither Hermitian nor normal."""
+    D = dims.total
+    return OperatorTuple(dims, tuple(crandn(rng, D, D) for _ in range(m)))
+
+
 def random_mon(rng, n, m, ell):
     perms = tuple(tuple(rng.permutation(ell).tolist()) for _ in range(n))
     labels = tuple(int(x) for x in rng.integers(0, m, size=ell))
     return TraceMonomial(labels=labels, perms=perms)
+
+
+# eval_contract runs the steps numpy 2.4's einsum runs on the same path: one
+# matmul per pairwise step, the contracted indices in the left operand's
+# order.  numpy 1.24 runs them through tensordot with the contracted indices
+# sorted, so its sums run in another order and agree only to rounding.
+EINSUM_BITWISE = NumpyVersion(np.__version__) >= "2.4.0"
+
+
+def bits(z):
+    """The exact bits of a complex value, signs of zeros included."""
+    return z.real.hex(), z.imag.hex()
 
 
 def count_connectivity_tests(monkeypatch):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from traceinv import Dims, OperatorTuple, cli, save_operator_tuple, save_pure_state
+from traceinv import Dims, OperatorTuple, cli, load_state, save_operator_tuple, save_pure_state
 from traceinv.cli import format_value, main
 
 from helpers import CONJUGATE_CASES, conjugate_pair, scaled_pair
@@ -462,6 +462,21 @@ class TestRandomAndRender:
         assert captured.out == ""
         assert captured.err == "error: --count must be an integer >= 1, got 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [("--count", "0"), ("--count", "1"), ("--rank", "9")])
+    def test_random_pure_rejects_density_options(self, tmp_path, capsys, option, value):
+        out = tmp_path / "psi.json"
+        argv = ["random", "--dims", "2,2", "--kind", "pure", option, value, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} applies to --kind density only\n"
+        assert not out.exists()
+
+    def test_random_density_count_default(self, tmp_path, capsys):
+        out = tmp_path / "rho.json"
+        assert main(["random", "--dims", "2", "--seed", "5", "--out", str(out)]) == 0
+        assert load_state(out).operators.m == 1
 
     def test_render(self, tmp_path, capsys):
         out = tmp_path / "net.svg"

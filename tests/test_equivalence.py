@@ -24,7 +24,18 @@ from traceinv import (
     slocc_degree_bound,
 )
 
-from helpers import CONJUGATE_CASES, conjugate_pair, count_connectivity_tests, scaled_pair
+from traceinv.equivalence import _invariants
+from traceinv.evaluate import _matmul_step, _multiply_step, _plan, _run
+
+from helpers import (
+    CONJUGATE_CASES,
+    EINSUM_BITWISE,
+    bits,
+    conjugate_pair,
+    count_connectivity_tests,
+    random_ops,
+    scaled_pair,
+)
 
 
 def bell_density():
@@ -251,6 +262,18 @@ class TestDecide:
             with pytest.raises(TypeError):
                 decide_lu_equiv(ops, ops, max_degree=2.0)
 
+    @pytest.mark.parametrize("dims, max_degree", [((2,), 7), ((2, 2, 2), 6)])
+    def test_size_envelope_checked_before_normality_scan(self, dims, max_degree):
+        # past MAX_DEGREE, then past the enumeration budget: a non-normal
+        # input would warn first if the scan ran before the size check
+        dims = Dims(dims)
+        M = np.eye(dims.total, dtype=complex) + np.eye(dims.total, k=1)
+        ops = OperatorTuple(dims, (M,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedSizeError):
+                decide_lu_equiv(ops, ops, max_degree=max_degree)
+
     def test_max_degree_stored_as_int(self):
         ops = OperatorTuple(Dims((2,)), (np.eye(2) / 2,))
         assert type(fingerprint(ops, np.int64(2)).max_degree) is int
@@ -285,6 +308,35 @@ class TestNoFalseIndistinguishable:
             v = decide_lu_equiv(a, b, max_degree=2)
         assert not v.normal_certified
         assert not v.separated
+
+
+# (dims, m, max_degree) of the batched-evaluation audit
+BATCH_CASES = [((2, 2), 1, 5), ((2, 3), 1, 4), ((2, 2, 2), 1, 3), ((2, 2), 2, 3)]
+
+
+@pytest.mark.skipif(not EINSUM_BITWISE, reason="bit-identical steps need numpy >= 2.4")
+class TestBatchedInvariants:
+    def test_bit_identical_to_eval_contract(self):
+        # three non-Hermitian tuples run through one program per monomial:
+        # each value has the bits eval_contract gives on its own tuple.  The
+        # full listings add the disconnected networks, whose outer products
+        # are the multiply steps.
+        steps = set()
+        for dims, m, max_degree in BATCH_CASES:
+            dims = Dims(dims)
+            rng = np.random.default_rng(len(dims.sizes) * 10 + m)
+            tuples = [random_ops(rng, dims, m) for _ in range(3)]
+            for mon, values in _invariants(tuples, max_degree):
+                assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
+            stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
+            for mon in enumerate_monomials(dims.n, m, max_degree):
+                values = _run(mon, dims.sizes, stacks)
+                assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
+                for _, run, args in _plan(mon.perms, dims.sizes)[1]:
+                    steps.add(run)
+                    if run in (_matmul_step, _multiply_step) and any(p[0] for p in args[:2]):
+                        steps.add("trace")
+        assert {_multiply_step, "trace"} <= steps
 
 
 class TestRenyi:

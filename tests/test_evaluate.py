@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.lib import NumpyVersion
 
 from traceinv import (
     Dims,
@@ -25,14 +24,9 @@ from traceinv import (
 )
 from traceinv.evaluate import _einsum_step, _multiply_step, _plan
 
-from helpers import crandn, random_mon
+from helpers import EINSUM_BITWISE, bits, crandn, random_mon, random_ops
 
 ENGINES = [eval_reference, eval_contract]
-
-
-def random_ops(rng, dims, m):
-    D = dims.total
-    return OperatorTuple(dims, tuple(crandn(rng, D, D) for _ in range(m)))
 
 
 def simple_tensor_value(mon, factors):
@@ -331,18 +325,6 @@ class TestContractionPlan:
 
 # d = 1 rows leave the network; (1, 1) leaves no index at all
 PLAN_DIMS = [(2,), (3,), (1, 2), (2, 1, 3), (2, 2), (4, 1, 2), (2, 2, 2), (1, 1)]
-
-# eval_contract runs the steps numpy 2.4's einsum runs on the same path: one
-# matmul per pairwise step, the contracted indices in the left operand's
-# order.  numpy 1.24 runs them through tensordot with the contracted indices
-# sorted, so its sums run in another order and agree only to rounding.
-EINSUM_BITWISE = NumpyVersion(np.__version__) >= "2.4.0"
-
-
-def bits(z):
-    """The exact bits of a complex value, signs of zeros included."""
-    return z.real.hex(), z.imag.hex()
-
 
 def assert_matches_einsum(got, mon, ops):
     """``got`` against a plain ``np.einsum`` call on the independent network,

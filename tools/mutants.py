@@ -90,8 +90,22 @@ MUTANTS = [
     (
         "contract_not_finite",
         "evaluate.py",
-        "return _finite(complex(operands[0]))",
-        "return complex(operands[0])",
+        "return tuple(map(_finite, operands[0].tolist()))",
+        "return tuple(operands[0].tolist())",
+    ),
+    # the batched walk: every side must reach the program, each on its own
+    # batch row
+    (
+        "batch_one_side",
+        "equivalence.py",
+        "np.stack([t.matrices[k] for t in tuples])",
+        "np.stack([tuples[0].matrices[k] for t in tuples])",
+    ),
+    (
+        "batch_axis_dropped",
+        "evaluate.py",
+        "(0, *[term.index(x) + 1 for x in want])",
+        "tuple(map(term.index, want))",
     ),
     (
         "count_least_excluded",
