@@ -11,7 +11,6 @@ TRACEINV_TOL overrides the default comparison tolerance.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -20,7 +19,7 @@ import numpy as np
 from .core import DEFAULT_TOL, Dims, OperatorTuple, check_tol, random_density
 from .diagram import render_svg
 from .equivalence import decide_lu_equiv, lu_degree_bound, slocc_degree_bound
-from .errors import MAX_BOUND_DIGITS, UnsupportedSizeError, check_count, check_size
+from .errors import UnsupportedSizeError, check_count
 from .evaluate import eval_contract, eval_reference
 from .perms import enumerate_monomials, factorize, parse_int, parse_monomial
 from .slocc import eval_slocc
@@ -105,12 +104,6 @@ def _cmd_enumerate(args):
     return 0
 
 
-def _decimal_digits(v):
-    """Number of decimal digits of the int v >= 1, without making a string."""
-    k = int(math.log10(v)) + 1  # off by one only next to a power of ten
-    return k + (v >= 10**k) - (v < 10 ** (k - 1))
-
-
 def _cmd_bounds(args):
     if args.lu:
         if not args.dims:
@@ -121,8 +114,14 @@ def _cmd_bounds(args):
         if args.n is None:
             raise ValueError("--slocc needs -n")
         bound = slocc_degree_bound(args.n, m=args.m)
-    check_size("decimal digits of the bound", _decimal_digits(bound), MAX_BOUND_DIGITS)
-    print(bound)
+    try:
+        text = str(bound)
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise UnsupportedSizeError(
+            f"the digit count of the bound exceeds the supported limit {limit}"
+        ) from None
+    print(text)
     return 0
 
 

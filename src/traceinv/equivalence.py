@@ -81,7 +81,7 @@ def _invariants(tuples, max_degree):
     The monomials, from the first tuple (all share dims and length), are
     the connected canonical ones with rows within ``generator_girth_cap``:
     the others are products of these or polynomials in them.  The arguments,
-    ``MAX_DEGREE`` and the enumeration budget are checked here, at the call.
+    ``MAX_BOXES`` and the enumeration budget are checked here, at the call.
     The monomials are generated as they are read, so a caller that stops
     early enumerates no further, and each runs once on all the tuples,
     stacked along the batch axis of ``evaluate._run``.
@@ -137,9 +137,9 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
     verdict at the first monomial (in enumeration order) where
     |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
     indistinguishable-up-to verdict.  Tuples must share dims and length, and
-    tol must be finite and >= 0.  Arguments, ``MAX_DEGREE`` and the
-    enumeration budget are checked before any work, the normality scan
-    included.
+    tol must be finite and >= 0.  Arguments, ``MAX_BOXES`` (on max_degree)
+    and the enumeration budget are checked before any work, the normality
+    scan included.
     """
     max_degree = check_count(max_degree, "max_degree")
     tol = check_tol(tol)

@@ -3,10 +3,8 @@ rule for integer counts."""
 
 from operator import index
 
-#: Hard cap on monomial degree for enumeration / canonicalization.
-MAX_DEGREE = 6
-
-#: Cap on box count for canonical forms, factorize, eval_contract and rendering.
+#: Cap on box count, and so on degree, for enumeration, canonical forms,
+#: factorize, eval_contract and rendering.
 MAX_BOXES = 8
 
 #: Cap on raw (P, sigma) candidates visited in one enumeration call.
@@ -15,15 +13,10 @@ ENUM_BUDGET = 4_000_000
 #: eval_reference visits D^ell index assignments; cap the total.
 REFERENCE_ENVELOPE = 4096
 
-#: eval_contract works on the full product space; cap its dimension.
+#: eval_contract works on the full product space; cap its dimension.  Its
+#: network names one einsum subscript per bond, at most MAX_BOXES per row with
+#: d > 1, so MAX_BOXES * log2(CONTRACT_MAX_DIM) must stay within numpy's 52.
 CONTRACT_MAX_DIM = 64
-
-#: eval_contract names ell bonds per row with d > 1; numpy's einsum has 52 subscript letters.
-#: Under the caps above that is at most 6 rows x 8 boxes = 48; kept for a larger CONTRACT_MAX_DIM.
-EINSUM_MAX_SUBSCRIPTS = 52
-
-#: Python converts an int of at most 4300 digits to a string by default; cap printed bounds.
-MAX_BOUND_DIGITS = 4300
 
 
 class UnsupportedSizeError(Exception):

@@ -16,8 +16,8 @@ limit is the largest input, D^2: when no pairwise step fits under it, greedy
 contracts all remaining boxes in one naive loop, which at D = 64 can cost
 1e15 FLOPs.  With room for D^4, every network sampled at eight boxes and
 D = 64 was contracted pairwise throughout, along the path greedy takes with
-no limit at all (README, "Envelopes").  A network's envelopes (boxes, total
-dimension, subscripts) and its path depend only on (perms, dims), never on
+no limit at all (README, "Envelopes").  A network's envelopes (boxes and
+total dimension) and its path depend only on (perms, dims), never on
 labels or matrix values, so ``_plan`` owns that key: it checks the
 envelopes, plans the path, compiles it into a program of the steps numpy's
 einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step,
@@ -43,7 +43,6 @@ import numpy as np
 from .core import OperatorTuple
 from .errors import (
     CONTRACT_MAX_DIM,
-    EINSUM_MAX_SUBSCRIPTS,
     MAX_BOXES,
     REFERENCE_ENVELOPE,
     UnsupportedSizeError,
@@ -126,7 +125,6 @@ def _plan(perms, sizes):
     D = prod(sizes)
     check_size("contraction engine boxes", ell, MAX_BOXES)
     check_size("contraction engine total dimension", D, CONTRACT_MAX_DIM)
-    check_size("einsum subscripts (rows with d > 1, times ell)", n * ell, EINSUM_MAX_SUBSCRIPTS)
     shape = tuple(sizes[i] for i in rows) * 2
     inv = [invert_perm(perms[i]) for i in rows]
     subs = [
@@ -244,8 +242,8 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     batched runner ``_run`` with a batch of one (module docstring).
 
     Raises ValueError when the rows or labels do not fit the tuple, and
-    UnsupportedSizeError past the box, total-dimension or subscript
-    envelope, or when the value overflows (see ``_finite``).  The envelope
+    UnsupportedSizeError past the box or the total-dimension envelope,
+    or when the value overflows (see ``_finite``).  The envelope
     is checked once per network, before it is planned and cached (module
     docstring).  On numpy 2.4 values are bit-identical to ``np.einsum`` on
     the same path; older numpy sums its steps in another order and agrees

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import factorial
 from operator import index
 
-from .errors import ENUM_BUDGET, MAX_BOXES, MAX_DEGREE, check_count, check_size
+from .errors import ENUM_BUDGET, MAX_BOXES, check_count, check_size
 
 
 def identity_perm(size):
@@ -424,8 +424,8 @@ def enumerate_monomials(
 
     n, m, max_degree and each ``girth_cap`` entry are counts under
     ``errors.check_count``: integers >= 1, where a float raises TypeError.
-    The budget bounds the raw (P, sigma) count, sum over ell of
-    (ell!)^n * m^ell, for both listings.
+    max_degree is at most ``MAX_BOXES``, and the budget bounds the raw
+    (P, sigma) count, sum over ell of (ell!)^n * m^ell, for both listings.
     """
     return list(_iter_monomials(n, m, max_degree, girth_cap, connected_only, canonical))
 
@@ -434,21 +434,26 @@ def _iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, cano
     """A generator over the listing of ``enumerate_monomials``, taking the
     same arguments.
 
-    Every argument, ``MAX_DEGREE`` and the budget are checked here, at the
-    call; the monomials are generated as they are read, so a caller that
-    stops early pays only for the monomials it read.
+    Every argument, ``MAX_BOXES`` (on max_degree) and the budget are checked
+    here, at the call; the monomials are generated as they are read, so a
+    caller that stops early pays only for the monomials it read.
     """
     n, m = check_count(n, "n"), check_count(m, "m")
     max_degree = check_count(max_degree, "max_degree")
-    check_size("max_degree", max_degree, MAX_DEGREE)
+    check_size("max_degree", max_degree, MAX_BOXES)
     if girth_cap is not None:
         girth_cap = tuple(girth_cap)
         if len(girth_cap) != n:
             raise ValueError(f"girth_cap must have one integer >= 1 per row, got {girth_cap}")
         girth_cap = tuple(check_count(c, "girth_cap entry") for c in girth_cap)
 
-    work = sum(factorial(ell) ** n * m**ell for ell in range(1, max_degree + 1))
-    check_size("enumeration candidates (reduce max_degree, n or m)", work, ENUM_BUDGET)
+    # (ell!)^n >= 2^n for ell >= 2, so clipping n at the budget's bit length
+    # and m one past the budget keeps whether the count exceeds the budget;
+    # the clipped sum is a lower bound on the count that stays small
+    cn, cm = min(n, ENUM_BUDGET.bit_length()), min(m, ENUM_BUDGET + 1)
+    work = sum(factorial(ell) ** cn * cm**ell for ell in range(1, max_degree + 1))
+    what = "enumeration candidates (reduce max_degree, n or m)"
+    check_size(what if (cn, cm) == (n, m) else "lower bound on " + what, work, ENUM_BUDGET)
     return _generate(m, max_degree, girth_cap or (None,) * n, connected_only, canonical)
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -294,6 +295,22 @@ class TestEnumerate:
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "-n", "4", "-m", "3", "--max-degree", "6"]) == 3
 
+    def test_single_row_degree_seven(self, capsys):
+        assert main(["enumerate", "-n", "1", "-m", "2", "--max-degree", "7"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 646
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-n", "1", "-m", "1", "--max-degree", "9"], "error: max_degree = 9 exceeds the supported limit 8\n"),
+        (["-n", "2", "-m", "1", "--max-degree", "7"], "error: enumeration candidates"),
+        # the exact count has 9.5 million bits and cannot be printed
+        (["-n", "1000000", "-m", "1", "--max-degree", "6"], "error: lower bound on enumeration candidates"),
+    ])
+    def test_size_exit_codes(self, capsys, argv, message):
+        assert main(["enumerate", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     def test_girth_cap_below_one_exit_code(self, capsys):
         code = main(["enumerate", "-n", "2", "-m", "1", "--max-degree", "3", "--girth-cap", "0,0"])
         assert code == 2
@@ -320,8 +337,9 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err == "error: --slocc needs -n\n"
 
-    # the largest bounds that still print have 4298 (--slocc -n 281) and
-    # 4295 (--lu, 585 qubits) digits; one step up passes MAX_BOUND_DIGITS
+    # the largest bounds that still print at Python's default int-to-string
+    # limit of 4300 digits have 4298 (--slocc -n 281) and 4295 (--lu, 585
+    # qubits) digits; one step up passes it
     @pytest.mark.parametrize("n, rc", [(281, 0), (282, 3)])
     def test_slocc_digit_boundary(self, capsys, n, rc):
         assert main(["bounds", "--slocc", "-n", str(n)]) == rc
@@ -331,6 +349,25 @@ class TestBounds:
         else:
             assert captured.out == ""
             assert "exceeds the supported limit 4300" in captured.err
+
+    # the interpreter owns the digit limit: the CLI reads whatever it is set to
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
+    @pytest.mark.parametrize("limit, n, rc", [(640, 60, 3), (0, 282, 0)])
+    def test_digit_limit_is_the_interpreters(self, capsys, limit, n, rc):
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert main(["bounds", "--slocc", "-n", str(n)]) == rc
+        finally:
+            sys.set_int_max_str_digits(default)
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert len(captured.out.strip()) == 4316
+        else:
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: the digit count of the bound exceeds the supported limit {limit}\n"
+            )
 
     @pytest.mark.parametrize("n, rc", [(585, 0), (586, 3)])
     def test_lu_digit_boundary(self, capsys, n, rc):

@@ -15,6 +15,7 @@ from traceinv import (
     eval_contract,
     fingerprint,
     generator_girth_cap,
+    girth_of,
     kron,
     lu_degree_bound,
     random_density,
@@ -33,6 +34,7 @@ from helpers import (
     bits,
     conjugate_pair,
     count_connectivity_tests,
+    crandn,
     random_ops,
     scaled_pair,
 )
@@ -262,9 +264,9 @@ class TestDecide:
             with pytest.raises(TypeError):
                 decide_lu_equiv(ops, ops, max_degree=2.0)
 
-    @pytest.mark.parametrize("dims, max_degree", [((2,), 7), ((2, 2, 2), 6)])
+    @pytest.mark.parametrize("dims, max_degree", [((2,), 9), ((2, 2, 2), 6)])
     def test_size_envelope_checked_before_normality_scan(self, dims, max_degree):
-        # past MAX_DEGREE, then past the enumeration budget: a non-normal
+        # past MAX_BOXES, then past the enumeration budget: a non-normal
         # input would warn first if the scan ran before the size check
         dims = Dims(dims)
         M = np.eye(dims.total, dtype=complex) + np.eye(dims.total, k=1)
@@ -337,6 +339,63 @@ class TestBatchedInvariants:
                     if run in (_matmul_step, _multiply_step) and any(p[0] for p in args[:2]):
                         steps.add("trace")
         assert {_multiply_step, "trace"} <= steps
+
+
+def worst_span_residual(sizes, m, max_degree, cap, samples=200):
+    """How far the connected monomials above ``cap`` are from the span the
+    capped ones generate, as the worst relative least-squares residual.
+
+    Every connected canonical monomial up to max_degree is evaluated on
+    ``samples`` random non-Hermitian tuples: trace monomials are local-GL
+    invariants, so a relation that holds on these holds as a polynomial
+    identity, up to rounding.  At each degree, each monomial above the cap
+    is fitted against the capped monomials of that degree and the products
+    of lower-degree capped ones (one column per multiset of capped
+    monomials whose degrees sum to the degree).
+    """
+    mons = enumerate_monomials(len(sizes), m, max_degree, connected_only=True)
+    kept = [mon for mon in mons if all(g <= c for g, c in zip(girth_of(mon), cap))]
+    rng = np.random.default_rng(0)
+    D = int(np.prod(sizes))
+    stacks = [crandn(rng, samples, D, D) / np.sqrt(2 * D) for _ in range(m)]
+    value = {mon: np.array(_run(mon, sizes, stacks)) for mon in mons}
+
+    def products(total, start=0):
+        # index tuples i_1 <= i_2 <= ... into ``kept`` whose degrees sum to total
+        if total == 0:
+            yield ()
+            return
+        for i in range(start, len(kept)):
+            if kept[i].degree <= total:
+                for rest in products(total - kept[i].degree, i):
+                    yield (i, *rest)
+
+    worst = 0.0
+    for ell in range(1, max_degree + 1):
+        targets = [value[mon] for mon in mons if mon.degree == ell and mon not in kept]
+        if not targets:
+            continue
+        A = np.column_stack([np.prod([value[kept[i]] for i in f], axis=0) for f in products(ell)])
+        assert A.shape[1] < samples // 2  # the fit is overdetermined
+        B = np.column_stack(targets)
+        X = np.linalg.lstsq(A, B, rcond=None)[0]
+        residual = np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+        worst = max(worst, residual.max())
+    return worst
+
+
+class TestGeneratingSet:
+    # the walk skips every connected monomial above generator_girth_cap on
+    # the claim that each is a polynomial in the ones within it
+    @pytest.mark.parametrize("sizes, m, max_degree", [((2,), 1, 6), ((2,), 2, 5), ((2, 2), 1, 5)])
+    def test_capped_monomials_span_the_rest(self, sizes, m, max_degree):
+        cap = generator_girth_cap(Dims(sizes))
+        assert worst_span_residual(sizes, m, max_degree, cap) <= 1e-10
+
+    # a cap one below the rule drops a generator, and the check sees it
+    @pytest.mark.parametrize("sizes, m, max_degree, cap", [((2,), 3, 3, (2,)), ((2, 2), 1, 5, (2, 2))])
+    def test_cap_too_small_fails(self, sizes, m, max_degree, cap):
+        assert worst_span_residual(sizes, m, max_degree, cap) > 0.1
 
 
 class TestRenyi:

@@ -270,7 +270,7 @@ class TestEnumerate:
 
     def test_degree_envelope(self):
         with pytest.raises(UnsupportedSizeError):
-            enumerate_monomials(1, 1, 7)
+            enumerate_monomials(1, 1, 9)
 
     def test_budget(self):
         with pytest.raises(UnsupportedSizeError):
@@ -330,12 +330,36 @@ class TestIterMonomials:
         ((1.0, 1, 2), {}, TypeError),
         ((2, 1, 2.0), {}, TypeError),
         ((2, 1, "3"), {}, TypeError),
-        ((1, 1, 7), {}, UnsupportedSizeError),   # MAX_DEGREE
+        ((1, 1, 9), {}, UnsupportedSizeError),   # MAX_BOXES
         ((4, 3, 6), {}, UnsupportedSizeError),   # ENUM_BUDGET
     ])
     def test_checks_at_the_call(self, args, kwargs, error):
         with pytest.raises(error):
             _iter_monomials(*args, **kwargs)
+
+    # the budget's edge in n, where 1 + 2^n raw candidates meet degree 2, and
+    # in m, where m meet degree 1; n and m are clipped near the budget
+    # before the count is summed, so the edge must not move
+    @pytest.mark.parametrize("args, raises", [
+        ((21, 1, 2), False),
+        ((22, 1, 2), True),      # 4,194,305 raw candidates
+        ((1, 4_000_000, 1), False),
+        ((1, 4_000_001, 1), True),
+        ((2, 1, 7), True),       # past degree 6, n >= 2 meets the budget
+    ])
+    def test_budget_edge(self, args, raises):
+        if raises:
+            with pytest.raises(UnsupportedSizeError, match="enumeration candidates"):
+                _iter_monomials(*args)
+        else:
+            _iter_monomials(*args)
+
+    @pytest.mark.parametrize("n, m", [(10**7, 1), (1, 10**9), (10**7, 10**9)])
+    def test_huge_counts_raise_without_the_exact_sum(self, n, m):
+        # the exact (ell!)^n * m^ell would take minutes to build and could not
+        # be printed; the message names what it did compute
+        with pytest.raises(UnsupportedSizeError, match="^lower bound on enumeration candidates"):
+            _iter_monomials(n, m, 6)
 
     def test_numpy_integer_counts(self):
         assert list(_iter_monomials(np.int64(2), np.int8(1), np.int32(3))) == enumerate_monomials(2, 1, 3)
@@ -447,6 +471,18 @@ class TestEnumerateCount:
     def test_burnside_small(self):
         assert burnside_count(1, 1, 3) == 1 + 2 + 3
         assert burnside_count(2, 1, 2) == 1 + (2 + 2)
+
+    # one row reaches degree 8, MAX_BOXES, within the budget; the canonical
+    # forms are not rechecked here, at 0.2 s each on eight boxes
+    @pytest.mark.parametrize("m, max_degree, count", [(1, 8, 66), (2, 7, 646)])
+    def test_single_row_past_degree_six(self, m, max_degree, count):
+        mons = enumerate_monomials(1, m, max_degree)
+        assert len(mons) == burnside_count(1, m, max_degree) == count
+        assert len(set(mons)) == count
+
+    def test_single_row_raw_degree_eight(self):
+        # the sum of ell! over ell <= 8
+        assert len(enumerate_monomials(1, 1, 8, canonical=False)) == 46_233
 
     @pytest.mark.parametrize("n,m,max_degree", [(2, 1, 6), (3, 2, 4), (4, 1, 4)])
     def test_count_matches_burnside(self, n, m, max_degree):

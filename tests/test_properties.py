@@ -29,14 +29,7 @@ from traceinv import (
     render_svg,
 )
 from traceinv.diagram import PALETTE
-from traceinv.errors import (
-    CONTRACT_MAX_DIM,
-    EINSUM_MAX_SUBSCRIPTS,
-    ENUM_BUDGET,
-    MAX_BOXES,
-    MAX_DEGREE,
-    REFERENCE_ENVELOPE,
-)
+from traceinv.errors import CONTRACT_MAX_DIM, ENUM_BUDGET, MAX_BOXES, REFERENCE_ENVELOPE
 
 
 @st.composite
@@ -168,22 +161,11 @@ def _reference_at_envelope(k, monkeypatch):
     eval_reference(_boxes(4, rows=3), _eye((2, 2, 2)))
 
 
-def _contract_at_subscripts(k, monkeypatch):
-    # only rows with d > 1 take subscripts, so one d = 2 row of ell boxes
-    # uses ell of them; the box cap is moved out of the way
-    monkeypatch.setattr(traceinv.evaluate, "MAX_BOXES", EINSUM_MAX_SUBSCRIPTS + 1)
-    try:
-        eval_contract(_boxes(EINSUM_MAX_SUBSCRIPTS + k), _eye((2,)))
-    finally:
-        # the limits are checked when a network is planned, so a plan made
-        # under the moved cap must not outlive it
-        traceinv.evaluate._plan.cache_clear()
-
-
 #: One probe per check site: ``probe(k, monkeypatch)`` makes a request whose
 #: size is the limit plus k.
 ENVELOPE_PROBES = {
-    "MAX_DEGREE/enumerate": lambda k, mp: enumerate_monomials(1, 1, MAX_DEGREE + k),
+    # the raw listing, since the canonical one at degree 8 takes seconds
+    "MAX_BOXES/enumerate": lambda k, mp: enumerate_monomials(1, 1, MAX_BOXES + k, canonical=False),
     "ENUM_BUDGET/enumerate": _enumerate_at_budget,
     "MAX_BOXES/canonical_form": lambda k, mp: canonical_form(_boxes(MAX_BOXES + k)),
     "REFERENCE_ENVELOPE/eval_reference": _reference_at_envelope,
@@ -191,7 +173,6 @@ ENVELOPE_PROBES = {
     "CONTRACT_MAX_DIM/eval_contract": (
         lambda k, mp: eval_contract(_boxes(1), _eye((CONTRACT_MAX_DIM + k,)))
     ),
-    "EINSUM_MAX_SUBSCRIPTS/eval_contract": _contract_at_subscripts,
     "MAX_BOXES/factorize": lambda k, mp: factorize(_boxes(MAX_BOXES + k)),
     "MAX_BOXES/render_svg": lambda k, mp: render_svg(_boxes(MAX_BOXES + k)),
     "PALETTE/render_svg": lambda k, mp: render_svg(_boxes(2, rows=len(PALETTE) + k)),
@@ -208,11 +189,17 @@ def test_envelope_boundary(site, monkeypatch):
 
 def test_envelope_table_values():
     # the documented envelopes, and the old module paths that still read them
-    assert (MAX_DEGREE, MAX_BOXES, ENUM_BUDGET) == (6, 8, 4_000_000)
-    assert (REFERENCE_ENVELOPE, CONTRACT_MAX_DIM, EINSUM_MAX_SUBSCRIPTS) == (4096, 64, 52)
-    assert traceinv.perms.MAX_DEGREE == MAX_DEGREE
+    assert (MAX_BOXES, ENUM_BUDGET) == (8, 4_000_000)
+    assert (REFERENCE_ENVELOPE, CONTRACT_MAX_DIM) == (4096, 64)
     assert traceinv.perms.MAX_BOXES == MAX_BOXES
     assert traceinv.perms.ENUM_BUDGET == ENUM_BUDGET
     assert traceinv.evaluate.REFERENCE_ENVELOPE == REFERENCE_ENVELOPE
     assert traceinv.evaluate.CONTRACT_MAX_DIM == CONTRACT_MAX_DIM
-    assert traceinv.evaluate.EINSUM_MAX_SUBSCRIPTS == EINSUM_MAX_SUBSCRIPTS
+
+
+def test_subscripts_fit_einsum():
+    # eval_contract names one einsum subscript per bond: ell per row with
+    # d > 1, and such rows number at most log2 of the total dimension.
+    # numpy's einsum has 52 subscript letters, and no check guards them, so
+    # raising either cap must keep this
+    assert MAX_BOXES * (CONTRACT_MAX_DIM.bit_length() - 1) <= 52
