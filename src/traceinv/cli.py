@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import log10
 
 import numpy as np
 
@@ -113,16 +114,26 @@ def _cmd_bounds(args):
     else:
         if args.n is None:
             raise ValueError("--slocc needs -n")
-        bound = slocc_degree_bound(args.n, m=args.m)
+        n, m = check_count(args.n, "n"), check_count(args.m, "m")
+        # log10 of the bound, 3/2 m^2 4^n n^(6n): a bound that is sure to pass
+        # the digit limit (0: none) is not built
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < log10(1.5) + 2 * log10(m) + n * log10(4 * n**6) - 1:
+            _bound_too_long()
+        bound = slocc_degree_bound(n, m=m)
     try:
         text = str(bound)
     except ValueError:  # past the interpreter's int-to-string digit limit
-        limit = sys.get_int_max_str_digits()
-        raise UnsupportedSizeError(
-            f"the digit count of the bound exceeds the supported limit {limit}"
-        ) from None
+        _bound_too_long()
     print(text)
     return 0
+
+
+def _bound_too_long():
+    limit = sys.get_int_max_str_digits()
+    raise UnsupportedSizeError(
+        f"the digit count of the bound exceeds the supported limit {limit}"
+    ) from None
 
 
 def _cmd_factorize(args):

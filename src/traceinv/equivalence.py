@@ -14,7 +14,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log
+from functools import lru_cache
+from math import ceil, factorial, log
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .core import (
 )
 from .errors import check_count
 from .evaluate import _run
-from .perms import TraceMonomial, _iter_monomials, identity_perm
+from .perms import TraceMonomial, _check_listing, _generate, identity_perm
 
 
 def generator_girth_cap(dims):
@@ -75,6 +76,21 @@ class Fingerprint:
         return tuple(v for _, v in self.entries)
 
 
+# A walk's listing never depends on the states, so each degree's is kept,
+# keyed by (m, ell, caps) alone.  Only a degree with at most
+# _CACHED_CANDIDATES raw candidates, which bound its listing, is kept; the
+# five lu-compare shapes have at most 14,400, and their 23 degrees fit the
+# 32 entries with room to spare.  So the cache holds at most 32 * 2**14
+# monomials.
+_CACHED_CANDIDATES = 2**14
+
+
+@lru_cache(maxsize=32)
+def _generators(m, ell, caps):
+    """The connected canonical monomials of degree ell within ``caps``."""
+    return tuple(_generate(m, ell, caps, connected_only=True, canonical=True))
+
+
 def _invariants(tuples, max_degree):
     """A lazy stream of ``(mon, values on each tuple)`` in enumeration order.
 
@@ -82,16 +98,24 @@ def _invariants(tuples, max_degree):
     the connected canonical ones with rows within ``generator_girth_cap``:
     the others are products of these or polynomials in them.  The arguments,
     ``MAX_BOXES`` and the enumeration budget are checked here, at the call.
-    The monomials are generated as they are read, so a caller that stops
-    early enumerates no further, and each runs once on all the tuples,
-    stacked along the batch axis of ``evaluate._run``.
+    Each degree's listing is read from ``_generators`` when the stream
+    reaches it, so a caller that stops early builds no higher degree.  Each
+    monomial runs once on all the tuples, stacked along the batch axis of
+    ``evaluate._run``, with one memo of box traces for the whole walk.
     """
     dims = tuples[0].dims
-    mons = _iter_monomials(
-        dims.n, tuples[0].m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
+    m, max_degree, caps = _check_listing(dims.n, tuples[0].m, max_degree, generator_girth_cap(dims))
+    stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
+    memo = {}
+    return (
+        (mon, _run(mon, dims.sizes, stacks, memo))
+        for ell in range(1, max_degree + 1)
+        for mon in (
+            _generators(m, ell, caps)
+            if factorial(ell) ** dims.n * m**ell <= _CACHED_CANDIDATES
+            else _generate(m, ell, caps, connected_only=True, canonical=True)
+        )
     )
-    stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(tuples[0].m)]
-    return ((mon, _run(mon, dims.sizes, stacks)) for mon in mons)
 
 
 def fingerprint(ops: OperatorTuple, max_degree) -> Fingerprint:

@@ -27,7 +27,13 @@ envelopes is planned or cached, and a hit skips only checks its key has
 already passed.  Every operand of a program carries a leading batch axis,
 so one run evaluates a monomial on a stack of T tuples at once: ``_run``
 is the one runner, ``eval_contract`` calls it with T = 1, and
-``equivalence`` with both tuples of a comparison stacked.
+``equivalence`` with both tuples of a comparison stacked.  A box with a
+fixed point is traced before the steps, and that trace depends only on the
+box's label and its pattern of repeated indices, which the program records.
+So ``_run`` takes a memo of traced boxes from its caller: ``equivalence``
+keeps one per walk, so each (label, pattern) is traced once however many
+monomials share it, and ``eval_contract`` a fresh one per call.  The memoized
+trace is the same einsum call the step would make, so values do not change.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -107,8 +113,8 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
 # smaller cache would miss on every call of such a walk.
 @lru_cache(maxsize=2**14)
 def _plan(perms, sizes):
-    """Check a network's size envelopes, then return its box shape and step
-    program.
+    """Check a network's size envelopes, then return its box shape, step
+    program and box traces.
 
     The path depends only on shapes, so it is planned on zero-stride stand-in
     boxes.  The program replays it as numpy's einsum would: each step is
@@ -117,7 +123,12 @@ def _plan(perms, sizes):
     at the end.  numpy names an intermediate's indices in order of
     (dimension, subscript), and the last step yields the scalar.  Every
     operand, the boxes included, has a leading batch axis: each stored
-    shape starts with -1, and each transpose keeps axis 0 in front.
+    shape starts with -1, and each transpose keeps axis 0 in front.  A box
+    that a ``matmul`` or ``multiply`` step would trace (a fixed point of a
+    row) is traced before the steps instead: its entry in the box traces is
+    the einsum sublists of that trace with indices renamed in order of first
+    appearance (``_renamed``), and None for every other box.  Steps of
+    another kind trace their own operands.
     """
     ell = len(perms[0])
     rows = [i for i, d in enumerate(sizes) if d > 1]
@@ -135,14 +146,33 @@ def _plan(perms, sizes):
     interleaved = [x for s in subs for x in (box, s)]
     path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", D**4))
     dim = {x: d for s in subs for x, d in zip(s, shape)}
+    boxes = {s: j for j, s in enumerate(subs)}
+    traces = [None] * ell
     steps = []
     for step in path[1:]:
         positions = tuple(sorted(step, reverse=True))
         ins = [subs.pop(p) for p in positions]
         out = tuple(sorted(set().union(*ins) & set().union(*subs), key=lambda x: (dim[x], x)))
         subs.append(out)
-        steps.append((positions, *_step(ins, out, dim)))
-    return (-1, *shape), tuple(steps)
+        run, args = _step(ins, out, dim)
+        if run is not _einsum_step:
+            # only a box repeats an index; its trace moves out of the step
+            for term, (trace, _) in zip(ins, args[:2]):
+                if trace is not None:
+                    traces[boxes[term]] = _renamed(trace)
+            args = (args[0][1], args[1][1], *args[2:])
+        steps.append((positions, run, args))
+    return (-1, *shape), tuple(steps), tuple(traces)
+
+
+def _renamed(subscripts):
+    """Einsum sublists with their indices renamed 0, 1, ... in order of first
+    appearance, so boxes that trace alike share one key."""
+    names = {}
+    return tuple(
+        tuple(x if x is ... else names.setdefault(x, len(names)) for x in sub)
+        for sub in subscripts
+    )
 
 
 def _step(ins, out, dim):
@@ -179,24 +209,22 @@ def _step(ins, out, dim):
 
 
 def _prep(term, want, shape):
-    """(trace, axes, shape) bringing an operand with indices ``term`` to the
-    indices ``want``, then to ``shape``.  A repeated index (a fixed point of
-    a row) is traced out by a plain einsum; otherwise a transpose will do."""
+    """(trace, (axes, shape)) bringing an operand with indices ``term`` to
+    the indices ``want``, then to ``shape``.  A repeated index (a fixed point
+    of a row) is traced out by a plain einsum, whose sublists ``trace``
+    holds, and ``_plan`` hoists it out of the step; otherwise a transpose
+    will do."""
     want = tuple(want)
     if term == want:
-        return None, None, shape
+        return None, (None, shape)
     if len(set(term)) < len(term):
-        return ((..., *term), (..., *want)), None, shape
-    return None, (0, *[term.index(x) + 1 for x in want]), shape
+        return ((..., *term), (..., *want)), (None, shape)
+    return None, ((0, *[term.index(x) + 1 for x in want]), shape)
 
 
 def _prepared(x, prep):
-    trace, axes, shape = prep
-    if trace is not None:
-        x = np.einsum(x, *trace)
-    elif axes is not None:
-        x = x.transpose(axes)
-    return x.reshape(shape)
+    axes, shape = prep
+    return (x if axes is None else x.transpose(axes)).reshape(shape)
 
 
 def _matmul_step(args, a, b):
@@ -215,14 +243,25 @@ def _einsum_step(args, *operands):
     return np.einsum(*[x for pair in zip(operands, terms) for x in pair], out)
 
 
-def _run(mon: TraceMonomial, sizes, matrices) -> tuple[complex, ...]:
+def _run(mon: TraceMonomial, sizes, matrices, memo) -> tuple[complex, ...]:
     """The values of ``mon`` on T tuples at once, each checked by ``_finite``.
 
     ``matrices[label]`` is a (D, D) matrix (T = 1) or a (T, D, D) stack; the
-    step program of (perms, sizes) runs once on the whole stack.
+    step program of (perms, sizes) runs once on the whole stack.  ``memo``
+    maps (label, trace pattern) to that box's traced operand; it is only
+    valid for these ``sizes`` and ``matrices``, so a caller keeps one per
+    walk over fixed inputs.
     """
-    shape, steps = _plan(mon.perms, sizes)
-    operands = [matrices[label].reshape(shape) for label in mon.labels]
+    shape, steps, traces = _plan(mon.perms, sizes)
+    operands = []
+    for label, trace in zip(mon.labels, traces):
+        x = matrices[label].reshape(shape)
+        if trace is not None:
+            key = label, trace
+            if key not in memo:
+                memo[key] = np.einsum(x, *trace)
+            x = memo[key]
+        operands.append(x)
     for positions, run, args in steps:
         operands.append(run(args, *[operands.pop(p) for p in positions]))
     return tuple(map(_finite, operands[0].tolist()))
@@ -250,5 +289,5 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     to rounding.
     """
     _check_compat(mon, ops.dims, ops.m)
-    (value,) = _run(mon, ops.dims.sizes, ops.matrices)
+    (value,) = _run(mon, ops.dims.sizes, ops.matrices, {})
     return value

@@ -435,9 +435,19 @@ def _iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, cano
     same arguments.
 
     Every argument, ``MAX_BOXES`` (on max_degree) and the budget are checked
-    here, at the call; the monomials are generated as they are read, so a
-    caller that stops early pays only for the monomials it read.
+    here, at the call (``_check_listing``); the monomials are generated as
+    they are read, so a caller that stops early pays only for the monomials
+    it read.
     """
+    m, max_degree, caps = _check_listing(n, m, max_degree, girth_cap)
+    return itertools.chain.from_iterable(
+        _generate(m, ell, caps, connected_only, canonical) for ell in range(1, max_degree + 1)
+    )
+
+
+def _check_listing(n, m, max_degree, girth_cap):
+    """``(m, max_degree, caps)`` for the arguments of ``_iter_monomials``,
+    each checked, with one cap (or None) per row in ``caps``."""
     n, m = check_count(n, "n"), check_count(m, "m")
     max_degree = check_count(max_degree, "max_degree")
     check_size("max_degree", max_degree, MAX_BOXES)
@@ -454,12 +464,12 @@ def _iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, cano
     work = sum(factorial(ell) ** cn * cm**ell for ell in range(1, max_degree + 1))
     what = "enumeration candidates (reduce max_degree, n or m)"
     check_size(what if (cn, cm) == (n, m) else "lower bound on " + what, work, ENUM_BUDGET)
-    return _generate(m, max_degree, girth_cap or (None,) * n, connected_only, canonical)
+    return m, max_degree, girth_cap or (None,) * n
 
 
-def _generate(m, max_degree, caps, connected_only, canonical):
-    """The listing of ``_iter_monomials`` for checked arguments, one cap (or
-    None) per row.
+def _generate(m, ell, caps, connected_only, canonical):
+    """The degree-``ell`` part of the listing of ``_iter_monomials``, for
+    checked arguments.
 
     The canonical listing is generated in order, without a dedup set over
     the whole degree.  The least label vector of a class is its sorted one,
@@ -469,23 +479,22 @@ def _generate(m, max_degree, caps, connected_only, canonical):
     what still fixes the rows before it.  Girth is a conjugation invariant,
     so the cap prunes each row's candidates before any of this.
     """
-    for ell in range(1, max_degree + 1):
-        perms_ell = list(itertools.permutations(range(ell)))
-        rows = [
-            perms_ell if cap is None else [p for p in perms_ell if _max_cycle(p) <= cap]
-            for cap in caps
-        ]
-        if canonical:
-            blocks = (
-                (labels, _label_stabilizer(labels))
-                for labels in itertools.combinations_with_replacement(range(m), ell)
-            )
-        else:
-            trivial = [(identity_perm(ell),) * 2]
-            blocks = ((labels, trivial) for labels in itertools.product(range(m), repeat=ell))
-        for labels, group in blocks:
-            for perms in _orbit_minima(rows, group):
-                mon = TraceMonomial(labels=labels, perms=perms)
-                if connected_only and not is_connected(mon):
-                    continue
-                yield mon
+    perms_ell = list(itertools.permutations(range(ell)))
+    rows = [
+        perms_ell if cap is None else [p for p in perms_ell if _max_cycle(p) <= cap]
+        for cap in caps
+    ]
+    if canonical:
+        blocks = (
+            (labels, _label_stabilizer(labels))
+            for labels in itertools.combinations_with_replacement(range(m), ell)
+        )
+    else:
+        trivial = [(identity_perm(ell),) * 2]
+        blocks = ((labels, trivial) for labels in itertools.product(range(m), repeat=ell))
+    for labels, group in blocks:
+        for perms in _orbit_minima(rows, group):
+            mon = TraceMonomial(labels=labels, perms=perms)
+            if connected_only and not is_connected(mon):
+                continue
+            yield mon

@@ -35,6 +35,21 @@ def bits(z):
     return z.real.hex(), z.imag.hex()
 
 
+def interleaved(mon, ops):
+    """The network of ``mon`` on ``ops`` in numpy's interleaved einsum form,
+    built here independently of ``eval_contract``: box j's column index on
+    row i is bonded to the row index of box sigma_i(j)."""
+    rows = [i for i, d in enumerate(ops.dims.sizes) if d > 1]
+    shape = tuple(ops.dims.sizes[i] for i in rows) * 2
+    ell = mon.n_boxes
+    bond = {(k, mon.perms[i][j]): k * ell + j for k, i in enumerate(rows) for j in range(ell)}
+    args = []
+    for j in range(ell):
+        subs = [bond[k, j] for k in range(len(rows))] + [k * ell + j for k in range(len(rows))]
+        args += [ops.matrices[mon.labels[j]].reshape(shape), subs]
+    return args + [[]]
+
+
 def count_connectivity_tests(monkeypatch):
     """A list that grows by one per ``is_connected`` call the enumeration
     makes: with ``connected_only`` that is one per monomial it builds."""

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -368,6 +369,21 @@ class TestBounds:
             assert captured.err == (
                 f"error: the digit count of the bound exceeds the supported limit {limit}\n"
             )
+
+    # the bound at n = 10**6 has about 3.6e7 digits: it exits before the
+    # exact product is built
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-string limit")
+    def test_slocc_huge_n_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["bounds", "--slocc", "-n", "1000000"]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the digit count of the bound exceeds the supported limit "
+            f"{sys.get_int_max_str_digits()}\n"
+        )
 
     @pytest.mark.parametrize("n, rc", [(585, 0), (586, 3)])
     def test_lu_digit_boundary(self, capsys, n, rc):

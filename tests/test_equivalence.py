@@ -7,6 +7,7 @@ from traceinv import (
     DEFAULT_TOL,
     Dims,
     OperatorTuple,
+    TraceMonomial,
     UnsupportedSizeError,
     Verdict,
     conjugate_local,
@@ -25,8 +26,8 @@ from traceinv import (
     slocc_degree_bound,
 )
 
-from traceinv.equivalence import _invariants
-from traceinv.evaluate import _matmul_step, _multiply_step, _plan, _run
+from traceinv.equivalence import _generators, _invariants
+from traceinv.evaluate import _einsum_step, _multiply_step, _plan, _run
 
 from helpers import (
     CONJUGATE_CASES,
@@ -35,6 +36,7 @@ from helpers import (
     conjugate_pair,
     count_connectivity_tests,
     crandn,
+    interleaved,
     random_ops,
     scaled_pair,
 )
@@ -157,6 +159,7 @@ class TestDecide:
         a = OperatorTuple(dims, (np.diag([0.5, 0, 0, 0.5]).astype(complex),))
         b = OperatorTuple(dims, (np.diag([0.5, 0.5, 0, 0]).astype(complex),))
         built = count_connectivity_tests(monkeypatch)
+        _generators.cache_clear()  # so the walk builds what it reads
         verdict = decide_lu_equiv(a, b, max_degree=5)
         walked = len(built)
         built.clear()
@@ -312,33 +315,159 @@ class TestNoFalseIndistinguishable:
         assert not v.separated
 
 
-# (dims, m, max_degree) of the batched-evaluation audit
-BATCH_CASES = [((2, 2), 1, 5), ((2, 3), 1, 4), ((2, 2, 2), 1, 3), ((2, 2), 2, 3)]
+# (dims, m, max_degree) of the batched-evaluation audit.  In the m = 2
+# cases boxes of both labels trace alike, so the walk's trace memo must
+# tell the labels apart
+BATCH_CASES = [((2, 2), 1, 5), ((2, 3), 1, 4), ((2, 2, 2), 1, 3), ((2, 2), 2, 3), ((3, 2), 2, 3)]
+
+
+def walk_listing(dims, m, max_degree):
+    return enumerate_monomials(
+        dims.n, m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
+    )
+
+
+def einsum_bits(mon, ops):
+    """The bits of a plain ``np.einsum`` call on the independent network,
+    along the path ``eval_contract`` plans."""
+    return bits(complex(np.einsum(*interleaved(mon, ops), optimize=("greedy", ops.dims.total**4))))
 
 
 @pytest.mark.skipif(not EINSUM_BITWISE, reason="bit-identical steps need numpy >= 2.4")
 class TestBatchedInvariants:
     def test_bit_identical_to_eval_contract(self):
-        # three non-Hermitian tuples run through one program per monomial:
-        # each value has the bits eval_contract gives on its own tuple.  The
-        # full listings add the disconnected networks, whose outer products
-        # are the multiply steps.
+        # three non-Hermitian tuples run through one program per monomial,
+        # each walk twice: cold (no listing or plan cached) and warm.  Each
+        # value has the bits eval_contract gives on its own tuple, and those
+        # of np.einsum on the same path.  The full listings add the
+        # disconnected networks, whose outer products are the multiply steps
         steps = set()
         for dims, m, max_degree in BATCH_CASES:
             dims = Dims(dims)
             rng = np.random.default_rng(len(dims.sizes) * 10 + m)
             tuples = [random_ops(rng, dims, m) for _ in range(3)]
-            for mon, values in _invariants(tuples, max_degree):
-                assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
+            _generators.cache_clear()
+            _plan.cache_clear()
+            for _ in ("cold", "warm"):
+                for mon, values in _invariants(tuples, max_degree):
+                    want = [bits(eval_contract(mon, t)) for t in tuples]
+                    assert [bits(v) for v in values] == want
+                    assert want == [einsum_bits(mon, t) for t in tuples]
             stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
+            memo = {}
             for mon in enumerate_monomials(dims.n, m, max_degree):
-                values = _run(mon, dims.sizes, stacks)
+                values = _run(mon, dims.sizes, stacks, memo)
                 assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
-                for _, run, args in _plan(mon.perms, dims.sizes)[1]:
-                    steps.add(run)
-                    if run in (_matmul_step, _multiply_step) and any(p[0] for p in args[:2]):
-                        steps.add("trace")
+                _, program, traces = _plan(mon.perms, dims.sizes)
+                steps.update(run for _, run, _ in program)
+                if any(traces):
+                    steps.add("trace")
         assert {_multiply_step, "trace"} <= steps
+
+    @pytest.mark.parametrize("dims, m, max_degree", [c for c in BATCH_CASES if c[1] == 2])
+    def test_labels_share_trace_patterns(self, dims, m, max_degree):
+        # the walks above meet boxes of both labels that trace alike
+        dims = Dims(dims)
+        labels = {}
+        for mon in walk_listing(dims, m, max_degree):
+            for label, trace in zip(mon.labels, _plan(mon.perms, dims.sizes)[2]):
+                if trace is not None:
+                    labels.setdefault(trace, set()).add(label)
+        assert any(len(seen) == m for seen in labels.values())
+
+    def test_each_pattern_traced_once_per_walk(self, monkeypatch):
+        # np.einsum runs once per (label, pattern) of the walk, plus once per
+        # einsum step; every other trace is served from the walk's memo
+        dims, m, max_degree = Dims((2, 2)), 2, 3
+        tuples = [random_ops(np.random.default_rng(81), dims, m) for _ in range(2)]
+        patterns, einsum_steps, traced_boxes = set(), 0, 0
+        for mon in walk_listing(dims, m, max_degree):
+            _, program, traces = _plan(mon.perms, dims.sizes)
+            einsum_steps += sum(run is _einsum_step for _, run, _ in program)
+            traced_boxes += sum(trace is not None for trace in traces)
+            patterns.update((label, t) for label, t in zip(mon.labels, traces) if t is not None)
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args) or real(*args))
+        list(_invariants(tuples, max_degree))
+        assert len(calls) == len(patterns) + einsum_steps
+        assert len(patterns) < traced_boxes
+
+    @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 1, 3)], ids=lambda s: "x".join(map(str, s)))
+    def test_einsum_steps_keep_their_traces(self, sizes):
+        # a network of one box is one einsum step, which traces its own
+        # operand: no box trace is hoisted out of it
+        dims = Dims(sizes)
+        ops = random_ops(np.random.default_rng(82), dims, 1)
+        mon = TraceMonomial(labels=(0,), perms=((0,),) * dims.n)
+        _, [(_, run, (terms, _))], traces = _plan(mon.perms, sizes)
+        assert run is _einsum_step and traces == (None,)
+        assert len(set(terms[0])) < len(terms[0])
+        assert bits(eval_contract(mon, ops)) == einsum_bits(mon, ops)
+
+
+# the lu-compare benchmark's walks: (dims, m, max_degree)
+BENCH_WALKS = [((2, 2), 1, 5), ((2, 3), 1, 5), ((3, 3), 1, 5), ((2, 2, 2), 1, 4), ((2, 2), 2, 4)]
+
+
+def walk(dims, m, max_degree, seed=83):
+    """Read one fingerprint walk to its end."""
+    fingerprint(random_ops(np.random.default_rng(seed), Dims(dims), m), max_degree)
+
+
+class TestWalkCache:
+    def test_cached_degrees_are_the_listing(self):
+        # one cache for all cases: (2, 2) with m = 1 and m = 2 share their
+        # girth caps, so only m tells their entries apart
+        _generators.cache_clear()
+        for sizes, m, max_degree in [((2, 2), 1, 4), ((2, 3), 1, 4), ((2, 2, 2), 1, 3),
+                                     ((2, 2), 2, 3), ((2,), 1, 6)]:
+            dims = Dims(sizes)
+            walk(sizes, m, max_degree)
+            listing = walk_listing(dims, m, max_degree)
+            for ell in range(1, max_degree + 1):
+                cached = _generators(m, ell, generator_girth_cap(dims))
+                assert list(cached) == [mon for mon in listing if mon.degree == ell]
+        assert _generators.cache_info().misses == 4 + 4 + 3 + 3 + 6
+
+    def test_walk_caches_no_degree_past_its_witness(self):
+        # equal traces, unequal purities: the walk separates at degree 2
+        dims = Dims((2, 2))
+        a = OperatorTuple(dims, (np.eye(4, dtype=complex) / 4,))
+        b = OperatorTuple(dims, (np.diag([0.5, 0.5, 0, 0]).astype(complex),))
+        _generators.cache_clear()
+        verdict = decide_lu_equiv(a, b, max_degree=5)
+        assert verdict.witness.degree == 2
+        assert _generators.cache_info().currsize == 2
+
+    def test_degree_past_the_candidate_gate_is_not_cached(self):
+        # degree 2 on one row with m = 100 has 2 * 100**2 raw candidates,
+        # more than a cached degree may have: it is built, read and dropped
+        dims, m = Dims((2,)), 100
+        _generators.cache_clear()
+        fp = fingerprint(OperatorTuple(dims, (np.eye(2, dtype=complex),) * m), 2)
+        assert len(fp.entries) == len(walk_listing(dims, m, 2))
+        assert _generators.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("sizes, max_degree, match", [
+        ((2, 2), 9, "max_degree = 9"),
+        ((2, 2, 2), 6, "enumeration candidates"),
+    ], ids=["boxes", "budget"])
+    def test_checks_run_before_cached_degrees(self, sizes, max_degree, match):
+        walk(sizes, 1, 3)
+        info = _generators.cache_info()
+        ops = random_ops(np.random.default_rng(84), Dims(sizes), 1)
+        with pytest.raises(UnsupportedSizeError, match=match):
+            fingerprint(ops, max_degree)
+        assert _generators.cache_info() == info
+
+    def test_bound_holds_the_bench_walks(self):
+        _generators.cache_clear()
+        for _ in range(2):
+            for sizes, m, max_degree in BENCH_WALKS:
+                walk(sizes, m, max_degree)
+        # 23 degrees, each built once and read again on the second round
+        assert _generators.cache_info()[:4] == (23, 23, 32, 23)
 
 
 def worst_span_residual(sizes, m, max_degree, cap, samples=200):
@@ -358,7 +487,8 @@ def worst_span_residual(sizes, m, max_degree, cap, samples=200):
     rng = np.random.default_rng(0)
     D = int(np.prod(sizes))
     stacks = [crandn(rng, samples, D, D) / np.sqrt(2 * D) for _ in range(m)]
-    value = {mon: np.array(_run(mon, sizes, stacks)) for mon in mons}
+    memo = {}
+    value = {mon: np.array(_run(mon, sizes, stacks, memo)) for mon in mons}
 
     def products(total, start=0):
         # index tuples i_1 <= i_2 <= ... into ``kept`` whose degrees sum to total

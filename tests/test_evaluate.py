@@ -24,7 +24,7 @@ from traceinv import (
 )
 from traceinv.evaluate import _einsum_step, _multiply_step, _plan
 
-from helpers import EINSUM_BITWISE, bits, crandn, random_mon, random_ops
+from helpers import EINSUM_BITWISE, bits, crandn, interleaved, random_mon, random_ops
 
 ENGINES = [eval_reference, eval_contract]
 
@@ -210,21 +210,6 @@ class TestEnvelopes:
         assert abs(a - b) <= 1e-10 * (1 + abs(b))
 
 
-def interleaved(mon, ops):
-    """The network of ``mon`` on ``ops`` in numpy's interleaved einsum form,
-    built here independently of ``eval_contract``: box j's column index on
-    row i is bonded to the row index of box sigma_i(j)."""
-    rows = [i for i, d in enumerate(ops.dims.sizes) if d > 1]
-    shape = tuple(ops.dims.sizes[i] for i in rows) * 2
-    ell = mon.n_boxes
-    bond = {(k, mon.perms[i][j]): k * ell + j for k, i in enumerate(rows) for j in range(ell)}
-    args = []
-    for j in range(ell):
-        subs = [bond[k, j] for k in range(len(rows))] + [k * ell + j for k in range(len(rows))]
-        args += [ops.matrices[mon.labels[j]].reshape(shape), subs]
-    return args + [[]]
-
-
 def plan_path(perms, sizes):
     """The einsum path ``_plan`` compiled, read back from its steps: each
     step pops the operands at its positions, as the path step listing them
@@ -402,10 +387,9 @@ def step_runs(mon, sizes):
 
 
 def traced_operands(mon, sizes):
-    """How many operands of pairwise steps are prepared by a trace."""
-    steps = _plan(mon.perms, sizes)[1]
-    return sum(prep[0] is not None for _, run, args in steps if run is not _einsum_step
-               for prep in args[:2])
+    """How many operands of pairwise steps are prepared by a trace: each is
+    a box, traced before the steps."""
+    return sum(trace is not None for trace in _plan(mon.perms, sizes)[2])
 
 
 class TestStepProgram:

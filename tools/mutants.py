@@ -42,8 +42,8 @@ MUTANTS = [
     (
         "last_degree",
         "equivalence.py",
-        "dims.n, tuples[0].m, max_degree, girth_cap",
-        "dims.n, tuples[0].m, max_degree - (max_degree > 3), girth_cap",
+        "for ell in range(1, max_degree + 1)",
+        "for ell in range(1, max_degree + (max_degree <= 3))",
     ),
     (
         "tol_loose",
@@ -112,6 +112,20 @@ MUTANTS = [
         "errors.py",
         "if value < least:",
         "if value <= least:",
+    ),
+    # the per-walk caches: a listing or a traced box served for the wrong
+    # key
+    (
+        "walk_key_drops_m",
+        "equivalence.py",
+        "def _generators(m, ell, caps):\n",
+        "def _generators(m, ell, caps, _first={}):\n    m = _first.setdefault((ell, caps), m)\n",
+    ),
+    (
+        "trace_memo_drops_label",
+        "evaluate.py",
+        "key = label, trace",
+        "key = trace",
     ),
     # the size envelopes: each lets a request past its limit through, or
     # maps it to the wrong exit code
