@@ -7,6 +7,14 @@ bounds below give an explicit (astronomically loose) cutoff, while in
 practice low degrees already separate inequivalent states.  For non-normal
 tuples agreement is necessary but not known to be sufficient, so the
 verdict carries a normality flag.
+
+``fingerprint`` and ``decide_lu_equiv`` read one stream of invariants,
+``_invariants``, which walks the generating monomials degree by degree.  A
+degree's monomials and their contraction steps never depend on the states,
+so each degree is compiled once into one step program (``_program``, an LRU
+cache), in which a step that several monomials share runs once.  The
+program yields each monomial's values as soon as its last step has run, so
+a decision that separates runs no step past its witness.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, log
+from math import ceil, log
 
 import numpy as np
 
@@ -29,8 +37,8 @@ from .core import (
     partial_trace,
 )
 from .errors import check_count
-from .evaluate import _run
-from .perms import TraceMonomial, _check_listing, _generate, identity_perm
+from .evaluate import _compile, _execute, _run
+from .perms import TraceMonomial, _check_listing, _generate, canonical_count, identity_perm
 
 
 def generator_girth_cap(dims):
@@ -76,19 +84,22 @@ class Fingerprint:
         return tuple(v for _, v in self.entries)
 
 
-# A walk's listing never depends on the states, so each degree's is kept,
-# keyed by (m, ell, caps) alone.  Only a degree with at most
-# _CACHED_CANDIDATES raw candidates, which bound its listing, is kept; the
-# five lu-compare shapes have at most 14,400, and their 23 degrees fit the
-# 32 entries with room to spare.  So the cache holds at most 32 * 2**14
-# monomials.
-_CACHED_CANDIDATES = 2**14
+# A walk's listing never depends on the states, so each degree's program is
+# kept, keyed by (m, ell, sizes) alone.  Only a degree with at most
+# _CACHED_CLASSES relabeling classes (perms.canonical_count), which bound its
+# listing, is kept; the five lu-compare shapes have at most 681, and their
+# 23 degrees fit the 32 entries with room to spare.  So the cache holds at
+# most 32 * 2**14 monomials and their programs.  A running program also
+# keeps each intermediate that a later monomial of its degree reads.
+_CACHED_CLASSES = 2**14
 
 
 @lru_cache(maxsize=32)
-def _generators(m, ell, caps):
-    """The connected canonical monomials of degree ell within ``caps``."""
-    return tuple(_generate(m, ell, caps, connected_only=True, canonical=True))
+def _program(m, ell, sizes):
+    """The step program (``evaluate._compile``) of the connected canonical
+    monomials of degree ell within the girth caps of ``sizes``."""
+    caps = generator_girth_cap(sizes)
+    return _compile(_generate(m, ell, caps, connected_only=True, canonical=True), sizes)
 
 
 def _invariants(tuples, max_degree):
@@ -98,22 +109,28 @@ def _invariants(tuples, max_degree):
     the connected canonical ones with rows within ``generator_girth_cap``:
     the others are products of these or polynomials in them.  The arguments,
     ``MAX_BOXES`` and the enumeration budget are checked here, at the call.
-    Each degree's listing is read from ``_generators`` when the stream
-    reaches it, so a caller that stops early builds no higher degree.  Each
-    monomial runs once on all the tuples, stacked along the batch axis of
-    ``evaluate._run``, with one memo of box traces for the whole walk.
+    Each degree's program is read from ``_program`` when the stream reaches
+    it, and yields each monomial's values as soon as its last step has run,
+    so a caller that stops early builds no higher degree and runs no step
+    past its stop.  A degree too large to cache is generated as it is read,
+    each monomial run as a program of its own.  Every program runs on all
+    the tuples at once, stacked along the batch axis, with one memo of box
+    traces for the whole walk (``evaluate._execute``).
     """
     dims = tuples[0].dims
     m, max_degree, caps = _check_listing(dims.n, tuples[0].m, max_degree, generator_girth_cap(dims))
     stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
     memo = {}
     return (
-        (mon, _run(mon, dims.sizes, stacks, memo))
+        item
         for ell in range(1, max_degree + 1)
-        for mon in (
-            _generators(m, ell, caps)
-            if factorial(ell) ** dims.n * m**ell <= _CACHED_CANDIDATES
-            else _generate(m, ell, caps, connected_only=True, canonical=True)
+        for item in (
+            _execute(_program(m, ell, dims.sizes), dims.sizes, stacks, memo)
+            if canonical_count(dims.n, m, ell) <= _CACHED_CLASSES
+            else (
+                (mon, _run(mon, dims.sizes, stacks, memo))
+                for mon in _generate(m, ell, caps, connected_only=True, canonical=True)
+            )
         )
     )
 

@@ -24,16 +24,24 @@ einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step,
 between transposes and reshapes), and an LRU cache of 2**14 networks keeps
 the programs.  The cache stores no call that raised, so nothing outside the
 envelopes is planned or cached, and a hit skips only checks its key has
-already passed.  Every operand of a program carries a leading batch axis,
-so one run evaluates a monomial on a stack of T tuples at once: ``_run``
-is the one runner, ``eval_contract`` calls it with T = 1, and
-``equivalence`` with both tuples of a comparison stacked.  A box with a
-fixed point is traced before the steps, and that trace depends only on the
-box's label and its pattern of repeated indices, which the program records.
-So ``_run`` takes a memo of traced boxes from its caller: ``equivalence``
-keeps one per walk, so each (label, pattern) is traced once however many
-monomials share it, and ``eval_contract`` a fresh one per call.  The memoized
-trace is the same einsum call the step would make, so values do not change.
+already passed.  A program is in register form: the boxes are its first
+registers and each step writes one more.  Every operand carries a leading
+batch axis, so one run evaluates a monomial on a stack of T tuples at once.
+A box with a fixed point is traced before the steps, and that trace depends
+only on the box's label and its pattern of repeated indices, which the
+program records.  ``_compile`` merges the programs of many monomials into
+one, in which each box operand (label and trace pattern) and each distinct
+step (same step, args and input registers) appears once, so an
+intermediate that several monomials share is computed once; each
+intermediate is dropped after the last instruction that reads it.  ``_execute``
+is the one runner: ``equivalence`` runs one compiled program per degree of
+a walk, with both tuples of a comparison stacked, and ``eval_contract`` a
+monomial's own program with T = 1.  The runner takes a memo of traced
+boxes from its caller: ``equivalence`` keeps one per walk, so each (label,
+pattern) is traced once however many monomials share it, and
+``eval_contract`` a fresh one per call.  The memoized trace is the same
+einsum call the step would make, and a shared step is the same call on the
+same operands, so values do not change.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -113,22 +121,24 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
 # smaller cache would miss on every call of such a walk.
 @lru_cache(maxsize=2**14)
 def _plan(perms, sizes):
-    """Check a network's size envelopes, then return its box shape, step
-    program and box traces.
+    """Check a network's size envelopes, then return its step program and
+    box traces.
 
     The path depends only on shapes, so it is planned on zero-stride stand-in
-    boxes.  The program replays it as numpy's einsum would: each step is
-    (positions, run, args), and ``run(args, *operands)`` replaces the
-    operands at ``positions``, popped in that order, by one result appended
-    at the end.  numpy names an intermediate's indices in order of
-    (dimension, subscript), and the last step yields the scalar.  Every
-    operand, the boxes included, has a leading batch axis: each stored
-    shape starts with -1, and each transpose keeps axis 0 in front.  A box
-    that a ``matmul`` or ``multiply`` step would trace (a fixed point of a
-    row) is traced before the steps instead: its entry in the box traces is
-    the einsum sublists of that trace with indices renamed in order of first
-    appearance (``_renamed``), and None for every other box.  Steps of
-    another kind trace their own operands.
+    boxes.  The program replays it as numpy's einsum would, in register
+    form: registers 0 to ell - 1 hold the boxes, and step k is
+    (run, args, inputs, frees), where ``run(args, *operands)`` takes the
+    registers named by ``inputs``, its result is register ell + k, and the
+    registers named by ``frees`` are read by no later step; here each
+    register is read once, so ``frees`` is ``inputs``.  numpy names an
+    intermediate's indices in order of (dimension, subscript), and the last
+    step yields the scalar.  Every operand, the boxes included, has a
+    leading batch axis before the axes of ``_box_shape``, and each transpose
+    keeps axis 0 in front.  A box that a ``matmul`` or ``multiply`` step
+    would trace (a fixed point of a row) is traced before the steps instead:
+    its entry in the box traces is the einsum sublists of that trace with
+    indices renamed in order of first appearance (``_renamed``), and None
+    for every other box.  Steps of another kind trace their own operands.
     """
     ell = len(perms[0])
     rows = [i for i, d in enumerate(sizes) if d > 1]
@@ -136,7 +146,7 @@ def _plan(perms, sizes):
     D = prod(sizes)
     check_size("contraction engine boxes", ell, MAX_BOXES)
     check_size("contraction engine total dimension", D, CONTRACT_MAX_DIM)
-    shape = tuple(sizes[i] for i in rows) * 2
+    shape = _box_shape(sizes)
     inv = [invert_perm(perms[i]) for i in rows]
     subs = [
         tuple(k * ell + inv[k][j] for k in range(n)) + tuple(k * ell + j for k in range(n))
@@ -146,23 +156,31 @@ def _plan(perms, sizes):
     interleaved = [x for s in subs for x in (box, s)]
     path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", D**4))
     dim = {x: d for s in subs for x, d in zip(s, shape)}
-    boxes = {s: j for j, s in enumerate(subs)}
+    registers = list(range(ell))
     traces = [None] * ell
     steps = []
     for step in path[1:]:
-        positions = tuple(sorted(step, reverse=True))
+        positions = sorted(step, reverse=True)
         ins = [subs.pop(p) for p in positions]
+        inputs = tuple(registers.pop(p) for p in positions)
         out = tuple(sorted(set().union(*ins) & set().union(*subs), key=lambda x: (dim[x], x)))
         subs.append(out)
+        registers.append(ell + len(steps))
         run, args = _step(ins, out, dim)
         if run is not _einsum_step:
             # only a box repeats an index; its trace moves out of the step
-            for term, (trace, _) in zip(ins, args[:2]):
+            for r, (trace, _) in zip(inputs, args[:2]):
                 if trace is not None:
-                    traces[boxes[term]] = _renamed(trace)
+                    traces[r] = _renamed(trace)
             args = (args[0][1], args[1][1], *args[2:])
-        steps.append((positions, run, args))
-    return (-1, *shape), tuple(steps), tuple(traces)
+        steps.append((run, args, inputs, inputs))
+    return tuple(steps), tuple(traces)
+
+
+def _box_shape(sizes):
+    """A box's axes: its row indices, then its column indices, over the
+    subsystems of dimension above 1."""
+    return tuple(d for d in sizes if d > 1) * 2
 
 
 def _renamed(subscripts):
@@ -188,7 +206,7 @@ def _step(ins, out, dim):
     inserted.  Any other step is a plain einsum.
     """
     if len(ins) != 2:
-        return _einsum_step, ([(..., *t) for t in ins], (..., *out))
+        return _einsum_step, (tuple((..., *t) for t in ins), (..., *out))
     a, b = ins
     con = [x for x in a if x in b and x not in out]
     if not con:
@@ -243,28 +261,90 @@ def _einsum_step(args, *operands):
     return np.einsum(*[x for pair in zip(operands, terms) for x in pair], out)
 
 
-def _run(mon: TraceMonomial, sizes, matrices, memo) -> tuple[complex, ...]:
-    """The values of ``mon`` on T tuples at once, each checked by ``_finite``.
+def _compile(mons, sizes):
+    """One program for the monomials ``mons`` on ``sizes``, which computes
+    each shared intermediate once.
 
-    ``matrices[label]`` is a (D, D) matrix (T = 1) or a (T, D, D) stack; the
-    step program of (perms, sizes) runs once on the whole stack.  ``memo``
-    maps (label, trace pattern) to that box's traced operand; it is only
-    valid for these ``sizes`` and ``matrices``, so a caller keeps one per
-    walk over fixed inputs.
+    The plans of the monomials are merged into one register program, a tuple
+    of segments (mon, loads, code, out), one per monomial in order.  Each box
+    operand, a (label, trace) pair, is one register, loaded where a monomial
+    first uses it; each distinct step is one instruction (run, args, inputs,
+    frees), and two steps are the same when they have the same run, args and
+    input registers.  ``out`` is the register of the monomial's last step.
+    ``frees`` names the registers that no later instruction or ``out``
+    reads, so the runner drops each intermediate after its last reader and
+    only those a later monomial reads stay alive.  Values are those of each
+    monomial's own plan: the same steps run on the same operands.
     """
-    shape, steps, traces = _plan(mon.perms, sizes)
-    operands = []
-    for label, trace in zip(mon.labels, traces):
-        x = matrices[label].reshape(shape)
-        if trace is not None:
-            key = label, trace
-            if key not in memo:
-                memo[key] = np.einsum(x, *trace)
-            x = memo[key]
-        operands.append(x)
-    for positions, run, args in steps:
-        operands.append(run(args, *[operands.pop(p) for p in positions]))
-    return tuple(map(_finite, operands[0].tolist()))
+    registers = {}  # (label, trace) or (run, args, inputs) -> register
+    shared = {}  # one copy of equal args, which the plans hold apart
+    segments = []
+    for mon in mons:
+        steps, traces = _plan(mon.perms, sizes)
+        local, loads, code = [], [], []
+        # setdefault hashes each key once: it returns ``new`` for a new key
+        for label, trace in zip(mon.labels, traces):
+            new = len(registers)
+            local.append(registers.setdefault((label, trace), new))
+            if local[-1] == new:
+                loads.append((label, trace))
+        for run, args, inputs, _ in steps:
+            inputs = tuple(map(local.__getitem__, inputs))
+            new = len(registers)
+            local.append(registers.setdefault((run, args, inputs), new))
+            if local[-1] == new:
+                code.append((run, shared.setdefault(args, args), inputs))
+        segments.append((mon, tuple(loads), code, local[-1]))
+    # walking back from the end, a register not yet read is read last here
+    read = set()
+    for _, _, code, out in reversed(segments):
+        read.add(out)
+        for k in reversed(range(len(code))):
+            run, args, inputs = code[k]
+            dead = set(inputs) - read
+            # a cached entry keeps one tuple fewer when all inputs die here
+            code[k] = (run, args, inputs, inputs if len(dead) == len(inputs) else tuple(dead))
+            read.update(inputs)
+    return tuple((mon, loads, tuple(code), out) for mon, loads, code, out in segments)
+
+
+def _execute(program, sizes, matrices, memo):
+    """Run a program of ``_compile``'s form, yielding ``(mon, values)`` on T
+    tuples at once as soon as each monomial's last step has run, each value
+    checked by ``_finite``.
+
+    ``matrices[label]`` is a (D, D) matrix (T = 1) or a (T, D, D) stack.
+    ``memo`` maps (label, trace pattern) to that box's traced operand; it is
+    only valid for these ``sizes`` and ``matrices``, so a caller keeps one
+    per walk over fixed inputs.  Each instruction drops its ``frees`` once
+    it has run, so at most the operands of the current monomial and the
+    intermediates a later one reads are alive at a time.
+    """
+    shape = (-1, *_box_shape(sizes))
+    registers = []
+    for mon, loads, code, out in program:
+        for label, trace in loads:
+            x = matrices[label].reshape(shape)
+            if trace is not None:
+                key = label, trace
+                if key not in memo:
+                    memo[key] = np.einsum(x, *trace)
+                x = memo[key]
+            registers.append(x)
+        for run, args, inputs, frees in code:
+            registers.append(run(args, *[registers[i] for i in inputs]))
+            for i in frees:
+                registers[i] = None
+        yield mon, tuple(map(_finite, registers[out].tolist()))
+
+
+def _run(mon: TraceMonomial, sizes, matrices, memo) -> tuple[complex, ...]:
+    """The values of ``mon`` on T tuples at once: its plan is a program of
+    one segment, with a register per box, run by ``_execute``."""
+    steps, traces = _plan(mon.perms, sizes)
+    program = ((mon, tuple(zip(mon.labels, traces)), steps, -1),)
+    [(_, values)] = _execute(program, sizes, matrices, memo)
+    return values
 
 
 def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
@@ -278,7 +358,7 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     intermediate capped at D^4 elements rather than numpy's default cap, the
     largest input (D^2), under which greedy can fall back to one naive
     contraction of the remaining boxes.  The value is one run of the
-    batched runner ``_run`` with a batch of one (module docstring).
+    monomial's program with a batch of one (``_run``, module docstring).
 
     Raises ValueError when the rows or labels do not fit the tuple, and
     UnsupportedSizeError past the box or the total-dimension envelope,

@@ -402,6 +402,34 @@ def _orbit_minima(rows, group):
             yield (r, *rest)
 
 
+def _partitions(k, largest):
+    """The partitions of k with no part above ``largest``, as non-increasing
+    tuples."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def canonical_count(n, m, ell):
+    """The number of relabeling classes of degree-ell monomials on n rows and
+    m labels, which bounds every canonical listing of that degree.
+
+    By Burnside, the sum over cycle types lambda of ell of
+    m^(len lambda) * z_lambda^(n-1), where z_lambda = prod_k k^(a_k) a_k! for
+    a_k parts of size k is the order of a permutation's centralizer.
+    """
+    total = 0
+    for shape in _partitions(ell, ell):
+        z = 1
+        for k in set(shape):
+            a = shape.count(k)
+            z *= k**a * factorial(a)
+        total += m ** len(shape) * z ** (n - 1)
+    return total
+
+
 def enumerate_monomials(
     n,
     m,

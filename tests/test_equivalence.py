@@ -26,8 +26,10 @@ from traceinv import (
     slocc_degree_bound,
 )
 
-from traceinv.equivalence import _generators, _invariants
+import traceinv.evaluate
+from traceinv.equivalence import _invariants, _program
 from traceinv.evaluate import _einsum_step, _multiply_step, _plan, _run
+from traceinv.perms import canonical_count
 
 from helpers import (
     CONJUGATE_CASES,
@@ -159,7 +161,7 @@ class TestDecide:
         a = OperatorTuple(dims, (np.diag([0.5, 0, 0, 0.5]).astype(complex),))
         b = OperatorTuple(dims, (np.diag([0.5, 0.5, 0, 0]).astype(complex),))
         built = count_connectivity_tests(monkeypatch)
-        _generators.cache_clear()  # so the walk builds what it reads
+        _program.cache_clear()  # so the walk builds what it reads
         verdict = decide_lu_equiv(a, b, max_degree=5)
         walked = len(built)
         built.clear()
@@ -318,7 +320,9 @@ class TestNoFalseIndistinguishable:
 # (dims, m, max_degree) of the batched-evaluation audit.  In the m = 2
 # cases boxes of both labels trace alike, so the walk's trace memo must
 # tell the labels apart
-BATCH_CASES = [((2, 2), 1, 5), ((2, 3), 1, 4), ((2, 2, 2), 1, 3), ((2, 2), 2, 3), ((3, 2), 2, 3)]
+BATCH_CASES = [
+    ((2, 2), 1, 5), ((2, 3), 1, 4), ((3, 3), 1, 5), ((2, 2, 2), 1, 3), ((2, 2), 2, 3), ((3, 2), 2, 3),
+]
 
 
 def walk_listing(dims, m, max_degree):
@@ -346,7 +350,7 @@ class TestBatchedInvariants:
             dims = Dims(dims)
             rng = np.random.default_rng(len(dims.sizes) * 10 + m)
             tuples = [random_ops(rng, dims, m) for _ in range(3)]
-            _generators.cache_clear()
+            _program.cache_clear()
             _plan.cache_clear()
             for _ in ("cold", "warm"):
                 for mon, values in _invariants(tuples, max_degree):
@@ -358,8 +362,8 @@ class TestBatchedInvariants:
             for mon in enumerate_monomials(dims.n, m, max_degree):
                 values = _run(mon, dims.sizes, stacks, memo)
                 assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
-                _, program, traces = _plan(mon.perms, dims.sizes)
-                steps.update(run for _, run, _ in program)
+                program, traces = _plan(mon.perms, dims.sizes)
+                steps.update(run for run, *_ in program)
                 if any(traces):
                     steps.add("trace")
         assert {_multiply_step, "trace"} <= steps
@@ -370,7 +374,7 @@ class TestBatchedInvariants:
         dims = Dims(dims)
         labels = {}
         for mon in walk_listing(dims, m, max_degree):
-            for label, trace in zip(mon.labels, _plan(mon.perms, dims.sizes)[2]):
+            for label, trace in zip(mon.labels, _plan(mon.perms, dims.sizes)[1]):
                 if trace is not None:
                     labels.setdefault(trace, set()).add(label)
         assert any(len(seen) == m for seen in labels.values())
@@ -382,8 +386,8 @@ class TestBatchedInvariants:
         tuples = [random_ops(np.random.default_rng(81), dims, m) for _ in range(2)]
         patterns, einsum_steps, traced_boxes = set(), 0, 0
         for mon in walk_listing(dims, m, max_degree):
-            _, program, traces = _plan(mon.perms, dims.sizes)
-            einsum_steps += sum(run is _einsum_step for _, run, _ in program)
+            program, traces = _plan(mon.perms, dims.sizes)
+            einsum_steps += sum(run is _einsum_step for run, *_ in program)
             traced_boxes += sum(trace is not None for trace in traces)
             patterns.update((label, t) for label, t in zip(mon.labels, traces) if t is not None)
         calls = []
@@ -400,7 +404,7 @@ class TestBatchedInvariants:
         dims = Dims(sizes)
         ops = random_ops(np.random.default_rng(82), dims, 1)
         mon = TraceMonomial(labels=(0,), perms=((0,),) * dims.n)
-        _, [(_, run, (terms, _))], traces = _plan(mon.perms, sizes)
+        [(run, (terms, _), *_)], traces = _plan(mon.perms, sizes)
         assert run is _einsum_step and traces == (None,)
         assert len(set(terms[0])) < len(terms[0])
         assert bits(eval_contract(mon, ops)) == einsum_bits(mon, ops)
@@ -418,36 +422,49 @@ def walk(dims, m, max_degree, seed=83):
 class TestWalkCache:
     def test_cached_degrees_are_the_listing(self):
         # one cache for all cases: (2, 2) with m = 1 and m = 2 share their
-        # girth caps, so only m tells their entries apart
-        _generators.cache_clear()
+        # sizes, so only m tells their entries apart
+        _program.cache_clear()
         for sizes, m, max_degree in [((2, 2), 1, 4), ((2, 3), 1, 4), ((2, 2, 2), 1, 3),
                                      ((2, 2), 2, 3), ((2,), 1, 6)]:
             dims = Dims(sizes)
             walk(sizes, m, max_degree)
             listing = walk_listing(dims, m, max_degree)
             for ell in range(1, max_degree + 1):
-                cached = _generators(m, ell, generator_girth_cap(dims))
-                assert list(cached) == [mon for mon in listing if mon.degree == ell]
-        assert _generators.cache_info().misses == 4 + 4 + 3 + 3 + 6
+                cached = [mon for mon, *_ in _program(m, ell, sizes)]
+                assert cached == [mon for mon in listing if mon.degree == ell]
+        assert _program.cache_info().misses == 4 + 4 + 3 + 3 + 6
 
     def test_walk_caches_no_degree_past_its_witness(self):
         # equal traces, unequal purities: the walk separates at degree 2
         dims = Dims((2, 2))
         a = OperatorTuple(dims, (np.eye(4, dtype=complex) / 4,))
         b = OperatorTuple(dims, (np.diag([0.5, 0.5, 0, 0]).astype(complex),))
-        _generators.cache_clear()
+        _program.cache_clear()
         verdict = decide_lu_equiv(a, b, max_degree=5)
         assert verdict.witness.degree == 2
-        assert _generators.cache_info().currsize == 2
+        assert _program.cache_info().currsize == 2
 
     def test_degree_past_the_candidate_gate_is_not_cached(self):
-        # degree 2 on one row with m = 100 has 2 * 100**2 raw candidates,
-        # more than a cached degree may have: it is built, read and dropped
-        dims, m = Dims((2,)), 100
-        _generators.cache_clear()
+        # degree 2 on one row with m = 128 has 128 + 128**2 relabeling
+        # classes, more than a cached degree may have: it is built, read
+        # and dropped
+        dims, m = Dims((2,)), 128
+        assert canonical_count(1, m, 2) > 2**14
+        _program.cache_clear()
         fp = fingerprint(OperatorTuple(dims, (np.eye(2, dtype=complex),) * m), 2)
         assert len(fp.entries) == len(walk_listing(dims, m, 2))
-        assert _generators.cache_info().currsize == 1
+        assert _program.cache_info().currsize == 1
+
+    def test_second_walk_reads_degree_six_from_the_cache(self):
+        # degree 6 on (2, 2) has 720**2 raw candidates but 901 classes and
+        # 66 monomials: the class count lets it into the cache
+        assert canonical_count(2, 1, 6) == 901
+        _program.cache_clear()
+        walk((2, 2), 1, 6)
+        assert _program.cache_info()[:4] == (0, 6, 32, 6)
+        assert len(_program(1, 6, (2, 2))) == 66
+        walk((2, 2), 1, 6)
+        assert _program.cache_info()[:4] == (7, 6, 32, 6)
 
     @pytest.mark.parametrize("sizes, max_degree, match", [
         ((2, 2), 9, "max_degree = 9"),
@@ -455,19 +472,83 @@ class TestWalkCache:
     ], ids=["boxes", "budget"])
     def test_checks_run_before_cached_degrees(self, sizes, max_degree, match):
         walk(sizes, 1, 3)
-        info = _generators.cache_info()
+        info = _program.cache_info()
         ops = random_ops(np.random.default_rng(84), Dims(sizes), 1)
         with pytest.raises(UnsupportedSizeError, match=match):
             fingerprint(ops, max_degree)
-        assert _generators.cache_info() == info
+        assert _program.cache_info() == info
 
     def test_bound_holds_the_bench_walks(self):
-        _generators.cache_clear()
+        _program.cache_clear()
         for _ in range(2):
             for sizes, m, max_degree in BENCH_WALKS:
                 walk(sizes, m, max_degree)
         # 23 degrees, each built once and read again on the second round
-        assert _generators.cache_info()[:4] == (23, 23, 32, 23)
+        assert _program.cache_info()[:4] == (23, 23, 32, 23)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A list that grows by one per step instruction a program runs.  The
+    three step functions are wrapped before any plan is made, so every plan
+    and program built in the test holds the wrappers; both caches are
+    cleared before and after."""
+    calls = []
+    for name in ("_matmul_step", "_multiply_step", "_einsum_step"):
+        real = getattr(traceinv.evaluate, name)
+        monkeypatch.setattr(
+            traceinv.evaluate, name, lambda args, *ops, real=real: calls.append(real) or real(args, *ops)
+        )
+    _plan.cache_clear()
+    _program.cache_clear()
+    yield calls
+    _plan.cache_clear()
+    _program.cache_clear()
+
+
+class TestProgram:
+    def test_warm_bench_walk_runs_each_distinct_step_once(self, step_calls):
+        # the 688 monomials of the lu-compare walks plan 2,061 steps, and
+        # 1,424 of them are distinct within their degree
+        for sizes, m, max_degree in BENCH_WALKS:
+            walk(sizes, m, max_degree)
+        planned = sum(
+            len(_plan(mon.perms, sizes)[0])
+            for sizes, m, max_degree in BENCH_WALKS
+            for ell in range(1, max_degree + 1)
+            for mon, *_ in _program(m, ell, sizes)
+        )
+        assert planned == 2061
+        step_calls.clear()
+        for sizes, m, max_degree in BENCH_WALKS:
+            walk(sizes, m, max_degree)
+        assert len(step_calls) == 1424
+
+    def test_separated_walk_runs_no_step_past_its_witness(self, step_calls):
+        # the witness is the second of three monomials of degree 2
+        dims = Dims((2, 2))
+        a = OperatorTuple(dims, (np.diag([0.5, 0, 0, 0.5]).astype(complex),))
+        b = OperatorTuple(dims, (np.diag([0.5, 0.5, 0, 0]).astype(complex),))
+        verdict = decide_lu_equiv(a, b, max_degree=5)
+        degree_1, degree_2 = _program(1, 1, dims.sizes), _program(1, 2, dims.sizes)
+        mons = [mon for mon, *_ in degree_2]
+        assert mons.index(verdict.witness) == 1 and len(mons) == 3
+        ran = sum(len(code) for _, _, code, _ in degree_1 + degree_2[:2])
+        assert len(step_calls) == ran
+        assert ran < sum(len(code) for _, _, code, _ in degree_1 + degree_2)
+
+    @pytest.mark.parametrize("sizes, m, max_degree", BENCH_WALKS)
+    def test_each_register_is_dropped_after_its_last_read(self, sizes, m, max_degree):
+        # each register but a monomial's value is dropped by the instruction
+        # that reads it last, across all of the degree's monomials, and by
+        # no other, so only what a later monomial reads stays alive
+        for ell in range(1, max_degree + 1):
+            program = _program(m, ell, sizes)
+            code = [ins for _, _, segment, _ in program for ins in segment]
+            last = {r: k for k, (*_, inputs, _) in enumerate(code) for r in inputs}
+            dropped = [(r, k) for k, (*_, frees) in enumerate(code) for r in frees]
+            outs = {out for *_, out in program}
+            assert sorted(dropped) == sorted((r, k) for r, k in last.items() if r not in outs)
 
 
 def worst_span_residual(sizes, m, max_degree, cap, samples=200):

@@ -211,11 +211,17 @@ class TestEnvelopes:
 
 
 def plan_path(perms, sizes):
-    """The einsum path ``_plan`` compiled, read back from its steps: each
-    step pops the operands at its positions, as the path step listing them
-    in ascending order does."""
-    steps = _plan(perms, sizes)[1]
-    return ["einsum_path", *(tuple(sorted(pos)) for pos, _, _ in steps)]
+    """The einsum path ``_plan`` compiled, read back from its steps: the
+    operand list starts with the boxes' registers, and each step pops the
+    positions of its input registers and appends its own, as the path step
+    listing those positions in ascending order does."""
+    ell = len(perms[0])
+    live = list(range(ell))
+    path = ["einsum_path"]
+    for k, (_, _, inputs, _) in enumerate(_plan(perms, sizes)[0]):
+        path.append(tuple(sorted(live.index(r) for r in inputs)))
+        live = [r for r in live if r not in inputs] + [ell + k]
+    return path
 
 
 def planned_path(mon, ops):
@@ -383,13 +389,13 @@ class TestPlanCache:
 
 def step_runs(mon, sizes):
     """The kind of each step in the program ``eval_contract`` runs."""
-    return [run for _, run, _ in _plan(mon.perms, sizes)[1]]
+    return [run for run, *_ in _plan(mon.perms, sizes)[0]]
 
 
 def traced_operands(mon, sizes):
     """How many operands of pairwise steps are prepared by a trace: each is
     a box, traced before the steps."""
-    return sum(trace is not None for trace in _plan(mon.perms, sizes)[2])
+    return sum(trace is not None for trace in _plan(mon.perms, sizes)[1])
 
 
 class TestStepProgram:

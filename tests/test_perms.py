@@ -26,7 +26,14 @@ from traceinv import (
     parse_perm_tuple,
     perm_from_cycles,
 )
-from traceinv.perms import _iter_monomials, compose, identity_perm, invert_perm, parse_int
+from traceinv.perms import (
+    _iter_monomials,
+    canonical_count,
+    compose,
+    identity_perm,
+    invert_perm,
+    parse_int,
+)
 
 from helpers import count_connectivity_tests
 
@@ -483,6 +490,16 @@ class TestEnumerateCount:
     def test_single_row_raw_degree_eight(self):
         # the sum of ell! over ell <= 8
         assert len(enumerate_monomials(1, 1, 8, canonical=False)) == 46_233
+
+    @pytest.mark.parametrize("n, m, max_degree", [
+        (1, 1, 6), (1, 3, 4), (2, 1, 5), (2, 2, 4), (3, 1, 4), (3, 2, 3), (4, 2, 2),
+    ])
+    def test_canonical_count_per_degree(self, n, m, max_degree):
+        # the package's per-degree count against each degree of the listing
+        degrees = Counter(mon.degree for mon in enumerate_monomials(n, m, max_degree))
+        counts = [canonical_count(n, m, ell) for ell in range(1, max_degree + 1)]
+        assert counts == [degrees[ell] for ell in range(1, max_degree + 1)]
+        assert sum(counts) == burnside_count(n, m, max_degree)
 
     @pytest.mark.parametrize("n,m,max_degree", [(2, 1, 6), (3, 2, 4), (4, 1, 4)])
     def test_count_matches_burnside(self, n, m, max_degree):

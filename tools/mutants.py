@@ -90,8 +90,8 @@ MUTANTS = [
     (
         "contract_not_finite",
         "evaluate.py",
-        "return tuple(map(_finite, operands[0].tolist()))",
-        "return tuple(operands[0].tolist())",
+        "yield mon, tuple(map(_finite, registers[out].tolist()))",
+        "yield mon, tuple(registers[out].tolist())",
     ),
     # the batched walk: every side must reach the program, each on its own
     # batch row
@@ -113,19 +113,38 @@ MUTANTS = [
         "if value < least:",
         "if value <= least:",
     ),
-    # the per-walk caches: a listing or a traced box served for the wrong
-    # key
+    # the per-walk caches: a program or a traced box served for the wrong
+    # key, a step of a program merged with another that differs from it, or
+    # an intermediate kept alive past its last read
     (
         "walk_key_drops_m",
         "equivalence.py",
-        "def _generators(m, ell, caps):\n",
-        "def _generators(m, ell, caps, _first={}):\n    m = _first.setdefault((ell, caps), m)\n",
+        "def _program(m, ell, sizes):\n",
+        "def _program(m, ell, sizes, _first={}):\n    m = _first.setdefault((ell, sizes), m)\n",
     ),
     (
         "trace_memo_drops_label",
         "evaluate.py",
         "key = label, trace",
         "key = trace",
+    ),
+    (
+        "program_key_drops_labels",
+        "evaluate.py",
+        "registers.setdefault((label, trace), new)",
+        "registers.setdefault(trace, new)",
+    ),
+    (
+        "program_key_drops_args",
+        "evaluate.py",
+        "registers.setdefault((run, args, inputs), new)",
+        "registers.setdefault((run, inputs), new)",
+    ),
+    (
+        "program_never_frees",
+        "evaluate.py",
+        "dead = set(inputs) - read",
+        "dead = set()",
     ),
     # the size envelopes: each lets a request past its limit through, or
     # maps it to the wrong exit code
