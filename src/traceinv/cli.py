@@ -106,6 +106,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_bounds(args):
+    option, value, mode = ("-n", args.n, "--slocc") if args.lu else ("--dims", args.dims, "--lu")
+    if value is not None:
+        raise ValueError(f"{option} applies to {mode} only")
     if args.lu:
         if not args.dims:
             raise ValueError("--lu needs --dims")

@@ -14,7 +14,11 @@ degree's monomials and their contraction steps never depend on the states,
 so each degree is compiled once into one step program (``_program``, an LRU
 cache), in which a step that several monomials share runs once.  The
 program yields each monomial's values as soon as its last step has run, so
-a decision that separates runs no step past its witness.
+a decision that separates runs no step past its witness.  ``_program`` also
+decides, once per shape, which degrees are too large to keep; the walk
+streams those one monomial at a time.  Every size check of a walk runs at
+the call, before the first degree is read and before ``decide_lu_equiv``
+scans for normality.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import (
     is_normal,
     partial_trace,
 )
-from .errors import check_count
+from .errors import CONTRACT_MAX_DIM, check_count, check_size
 from .evaluate import _compile, _execute, _run
 from .perms import TraceMonomial, _check_listing, _generate, canonical_count, identity_perm
 
@@ -87,17 +91,22 @@ class Fingerprint:
 # A walk's listing never depends on the states, so each degree's program is
 # kept, keyed by (m, ell, sizes) alone.  Only a degree with at most
 # _CACHED_CLASSES relabeling classes (perms.canonical_count), which bound its
-# listing, is kept; the five lu-compare shapes have at most 681, and their
-# 23 degrees fit the 32 entries with room to spare.  So the cache holds at
-# most 32 * 2**14 monomials and their programs.  A running program also
-# keeps each intermediate that a later monomial of its degree reads.
+# listing, is compiled; a larger one is kept as None.  The five lu-compare
+# shapes have at most 681 classes in a degree, and their 23 degrees fit the
+# 32 entries with room to spare.  So the cache holds at most 32 * 2**14
+# monomials and their programs.  A running program also keeps each
+# intermediate that a later monomial of its degree reads.
 _CACHED_CLASSES = 2**14
 
 
 @lru_cache(maxsize=32)
 def _program(m, ell, sizes):
     """The step program (``evaluate._compile``) of the connected canonical
-    monomials of degree ell within the girth caps of ``sizes``."""
+    monomials of degree ell within the girth caps of ``sizes``, or None when
+    the degree has more than ``_CACHED_CLASSES`` relabeling classes: the walk
+    then streams it.  Only a miss counts the classes."""
+    if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:
+        return None
     caps = generator_girth_cap(sizes)
     return _compile(_generate(m, ell, caps, connected_only=True, canonical=True), sizes)
 
@@ -107,32 +116,38 @@ def _invariants(tuples, max_degree):
 
     The monomials, from the first tuple (all share dims and length), are
     the connected canonical ones with rows within ``generator_girth_cap``:
-    the others are products of these or polynomials in them.  The arguments,
-    ``MAX_BOXES`` and the enumeration budget are checked here, at the call.
-    Each degree's program is read from ``_program`` when the stream reaches
-    it, and yields each monomial's values as soon as its last step has run,
-    so a caller that stops early builds no higher degree and runs no step
-    past its stop.  A degree too large to cache is generated as it is read,
-    each monomial run as a program of its own.  Every program runs on all
-    the tuples at once, stacked along the batch axis, with one memo of box
-    traces for the whole walk (``evaluate._execute``).
+    the others are products of these or polynomials in them.  Every check
+    of the walk runs here, at the call: the arguments, ``MAX_BOXES``, the
+    enumeration budget and the total-dimension envelope.  Once the stream
+    (``_walk``) has started, only a value that overflows raises
+    ``UnsupportedSizeError`` (``evaluate._finite``).
     """
     dims = tuples[0].dims
     m, max_degree, caps = _check_listing(dims.n, tuples[0].m, max_degree, generator_girth_cap(dims))
+    check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
     stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
+    return _walk(m, max_degree, caps, dims.sizes, stacks)
+
+
+def _walk(m, max_degree, caps, sizes, stacks):
+    """The stream of ``_invariants``, for checked arguments.
+
+    Each degree's program is read from ``_program`` when the stream reaches
+    it, and yields each monomial's values as soon as its last step has run,
+    so a caller that stops early builds no higher degree and runs no step
+    past its stop.  A degree that ``_program`` does not keep is generated as
+    it is read, each monomial run as a program of its own.  Every program
+    runs on all the tuples at once, stacked along the batch axis, with one
+    memo of box traces for the whole walk (``evaluate._execute``).
+    """
     memo = {}
-    return (
-        item
-        for ell in range(1, max_degree + 1)
-        for item in (
-            _execute(_program(m, ell, dims.sizes), dims.sizes, stacks, memo)
-            if canonical_count(dims.n, m, ell) <= _CACHED_CLASSES
-            else (
-                (mon, _run(mon, dims.sizes, stacks, memo))
-                for mon in _generate(m, ell, caps, connected_only=True, canonical=True)
-            )
-        )
-    )
+    for ell in range(1, max_degree + 1):
+        program = _program(m, ell, sizes)
+        if program is None:
+            for mon in _generate(m, ell, caps, connected_only=True, canonical=True):
+                yield mon, _run(mon, sizes, stacks, memo)
+        else:
+            yield from _execute(program, sizes, stacks, memo)
 
 
 def fingerprint(ops: OperatorTuple, max_degree) -> Fingerprint:
@@ -178,9 +193,9 @@ def decide_lu_equiv(a: OperatorTuple, b: OperatorTuple, max_degree=4, tol=DEFAUL
     verdict at the first monomial (in enumeration order) where
     |v_a - v_b| > tol * (1 + max(|v_a|, |v_b|)); otherwise an
     indistinguishable-up-to verdict.  Tuples must share dims and length, and
-    tol must be finite and >= 0.  Arguments, ``MAX_BOXES`` (on max_degree)
-    and the enumeration budget are checked before any work, the normality
-    scan included.
+    tol must be finite and >= 0.  Arguments, ``MAX_BOXES`` (on max_degree),
+    the enumeration budget and the total dimension are checked before any
+    work, the normality scan included.
     """
     max_degree = check_count(max_degree, "max_degree")
     tol = check_tol(tol)

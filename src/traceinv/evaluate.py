@@ -116,9 +116,13 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
 
 
 # Keyed by (perms, dims) alone, so one entry serves every label pattern and
-# every matrix tuple.  The bound covers the largest walk the envelopes admit:
-# enumerating (n=3, m=1, degree 5) meets 15,460 distinct networks, and a
-# smaller cache would miss on every call of such a walk.
+# every matrix tuple.  A repeated walk reads its degrees from
+# ``equivalence._program`` and plans nothing.  The readers are
+# ``eval_contract`` and ``slocc.eval_slocc`` (such as the design monomials of
+# the slocc-6q benchmark), a cold compile, where an m = 2 degree plans each
+# network once for several label vectors, and each monomial of a streamed
+# degree.  The bound covers the largest listing the envelopes admit:
+# (n=3, m=1, degree 5) has 15,460 distinct networks.
 @lru_cache(maxsize=2**14)
 def _plan(perms, sizes):
     """Check a network's size envelopes, then return its step program and

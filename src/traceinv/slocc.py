@@ -23,13 +23,12 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_COND,
     Dims,
-    OperatorTuple,
     _qubit_count,
     kron,
     random_local_invertible,
 )
 from .errors import UnsupportedSizeError, check_count
-from .evaluate import _check_compat, _plan, eval_contract
+from .evaluate import _check_compat, _plan, _run
 from .perms import TraceMonomial
 
 #: The 2x2 symplectic form; g^T T g = det(g) T for any 2x2 g.
@@ -79,9 +78,10 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
     ``states`` is a sequence of amplitude vectors, all of the same qubit
     count n = mon.n_rows; monomial labels index into it.  The value is a
     degree-2-per-box polynomial in the amplitudes, invariant under one
-    common SL(2)^n action on all states.  Qubit counts, then labels, then
-    ``eval_contract``'s size limits are checked before anything is
-    embedded; ``embed_state`` converts each state.
+    common SL(2)^n action on all states.  Qubit counts and finite
+    amplitudes, then labels, then ``eval_contract``'s size limits are
+    checked before anything is embedded; ``embed_state`` converts each
+    state, and the embeddings run through ``eval_contract``'s runner.
     """
     states = list(states)
     if not states:
@@ -91,10 +91,13 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
         qubits = _qubit_count(np.size(v))
         if qubits != n:
             raise ValueError(f"state {k} has {qubits} qubits, monomial expects {n}")
-    dims = Dims((2,) * n)
-    _check_compat(mon, dims, len(states))
-    _plan(mon.perms, dims.sizes)  # runs the size checks; eval_contract then hits
-    return eval_contract(mon, OperatorTuple(dims, tuple(embed_state(v) for v in states)))
+        if not np.isfinite(np.asarray(v, dtype=complex)).all():
+            raise ValueError(f"state {k} has non-finite amplitudes")
+    sizes = (2,) * n
+    _check_compat(mon, Dims(sizes), len(states))
+    _plan(mon.perms, sizes)  # runs the size checks; _run then hits
+    (value,) = _run(mon, sizes, [embed_state(v) for v in states], {})
+    return value
 
 
 def random_sl2_tuple(n, seed=None, max_cond=DEFAULT_MAX_COND) -> list[np.ndarray]:

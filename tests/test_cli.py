@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,22 @@ class TestCompare:
         assert captured.out == ""
         assert "overflow" in captured.err
 
+    def test_dimension_envelope_before_normality_warning(self, tmp_path, capsys):
+        # D = 128 is past the contraction envelope: exit 3 at the call, with
+        # no "not certified normal" warning before it
+        dims = Dims((8, 16))
+        M = np.eye(dims.total, dtype=complex) + np.eye(dims.total, k=1)
+        a = tmp_path / "a.json"
+        save_operator_tuple(a, OperatorTuple(dims, (M,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--a", str(a), "--b", str(a), "--max-degree", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: contraction engine total dimension = 128 exceeds the supported limit 64\n"
+        )
+
     def test_zero_tolerance(self, tmp_path, capsys):
         a, b = rank_one_vs_mixed_files(tmp_path)
         assert main(["compare", "--a", a, "--b", a, "--max-degree", "2", "--tol", "0"]) == 0
@@ -331,6 +348,16 @@ class TestBounds:
 
     def test_lu_needs_dims(self, capsys):
         assert main(["bounds", "--lu"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lu", "--dims", "2,2", "-n", "5"], "-n applies to --slocc only"),
+        (["--slocc", "-n", "2", "--dims", "2,2"], "--dims applies to --lu only"),
+    ], ids=["lu", "slocc"])
+    def test_option_of_the_other_mode(self, capsys, argv, message):
+        assert main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_slocc_needs_n(self, capsys):
         assert main(["bounds", "--slocc"]) == 2

@@ -26,6 +26,7 @@ from traceinv import (
     slocc_degree_bound,
 )
 
+import traceinv.equivalence
 import traceinv.evaluate
 from traceinv.equivalence import _invariants, _program
 from traceinv.evaluate import _einsum_step, _multiply_step, _plan, _run
@@ -269,10 +270,11 @@ class TestDecide:
             with pytest.raises(TypeError):
                 decide_lu_equiv(ops, ops, max_degree=2.0)
 
-    @pytest.mark.parametrize("dims, max_degree", [((2,), 9), ((2, 2, 2), 6)])
+    @pytest.mark.parametrize("dims, max_degree", [((2,), 9), ((2, 2, 2), 6), ((8, 16), 2)])
     def test_size_envelope_checked_before_normality_scan(self, dims, max_degree):
-        # past MAX_BOXES, then past the enumeration budget: a non-normal
-        # input would warn first if the scan ran before the size check
+        # past MAX_BOXES, the enumeration budget, then the total dimension:
+        # a non-normal input would warn first if the scan ran before the
+        # size check
         dims = Dims(dims)
         M = np.eye(dims.total, dtype=complex) + np.eye(dims.total, k=1)
         ops = OperatorTuple(dims, (M,))
@@ -446,14 +448,15 @@ class TestWalkCache:
 
     def test_degree_past_the_candidate_gate_is_not_cached(self):
         # degree 2 on one row with m = 128 has 128 + 128**2 relabeling
-        # classes, more than a cached degree may have: it is built, read
-        # and dropped
+        # classes, more than a cached degree may have: it is streamed, and
+        # its entry is None
         dims, m = Dims((2,)), 128
         assert canonical_count(1, m, 2) > 2**14
         _program.cache_clear()
         fp = fingerprint(OperatorTuple(dims, (np.eye(2, dtype=complex),) * m), 2)
-        assert len(fp.entries) == len(walk_listing(dims, m, 2))
-        assert _program.cache_info().currsize == 1
+        assert [mon for mon, _ in fp.entries] == walk_listing(dims, m, 2)
+        assert _program.cache_info().currsize == 2
+        assert _program(m, 2, dims.sizes) is None
 
     def test_second_walk_reads_degree_six_from_the_cache(self):
         # degree 6 on (2, 2) has 720**2 raw candidates but 901 classes and
@@ -477,6 +480,22 @@ class TestWalkCache:
         with pytest.raises(UnsupportedSizeError, match=match):
             fingerprint(ops, max_degree)
         assert _program.cache_info() == info
+
+    def test_warm_walk_counts_no_classes(self, monkeypatch):
+        # a miss of _program counts its degree's classes once; a hit does not
+        calls = []
+        real = traceinv.equivalence.canonical_count
+        monkeypatch.setattr(
+            traceinv.equivalence, "canonical_count", lambda *args: calls.append(args) or real(*args)
+        )
+        _program.cache_clear()
+        for sizes, m, max_degree in BENCH_WALKS:
+            walk(sizes, m, max_degree)
+        assert len(calls) == 23
+        calls.clear()
+        for sizes, m, max_degree in BENCH_WALKS:
+            walk(sizes, m, max_degree)
+        assert calls == []
 
     def test_bound_holds_the_bench_walks(self):
         _program.cache_clear()

@@ -146,6 +146,12 @@ MUTANTS = [
         "dead = set(inputs) - read",
         "dead = set()",
     ),
+    (
+        "program_admits_every_degree",
+        "equivalence.py",
+        "    if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:\n        return None\n",
+        "",
+    ),
     # the size envelopes: each lets a request past its limit through, or
     # maps it to the wrong exit code
     (
@@ -161,6 +167,12 @@ MUTANTS = [
         "ENUM_BUDGET.bit_length() - 1",
     ),
     (
+        "walk_skips_dim_check",
+        "equivalence.py",
+        '    check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)\n',
+        "",
+    ),
+    (
         "bound_limit_exit2",
         "cli.py",
         "raise UnsupportedSizeError(",
@@ -170,10 +182,17 @@ MUTANTS = [
 
 
 def _check_unique():
-    for name, file, old, _ in MUTANTS:
-        found = (ROOT / PKG / file).read_text().count(old)
+    """Each mutant's text occurs once, and the mutated file still compiles,
+    so that no mutant is killed by a syntax error alone."""
+    for name, file, old, new in MUTANTS:
+        text = (ROOT / PKG / file).read_text()
+        found = text.count(old)
         if found != 1:
             sys.exit(f"mutant {name}: its text occurs {found} times in {PKG}{file}, not once")
+        try:
+            compile(text.replace(old, new), file, "exec")
+        except SyntaxError as exc:
+            sys.exit(f"mutant {name}: the mutated {PKG}{file} does not compile: {exc}")
 
 
 def _run_tests(mutant=None):
@@ -209,7 +228,7 @@ def main():
         start = time.perf_counter()
         survived = _run_tests(mutant)
         verdict = "SURVIVED" if survived else "killed"
-        print(f"{mutant[0]:<24} {verdict:<8} {time.perf_counter() - start:6.1f} s", flush=True)
+        print(f"{mutant[0]:<28} {verdict:<8} {time.perf_counter() - start:6.1f} s", flush=True)
         if survived:
             survivors.append(mutant[0])
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
