@@ -51,7 +51,6 @@ from .perms import (
 )
 from .slocc import DUALITY, duality_form, embed_state, eval_slocc, random_sl2_tuple
 from .statefile import (
-    StateFile,
     load_state,
     loads_state,
     operator_tuple_bytes,
@@ -61,7 +60,7 @@ from .statefile import (
     state_bytes,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DEFAULT_TOL",
@@ -70,7 +69,6 @@ __all__ = [
     "Factorization",
     "Fingerprint",
     "OperatorTuple",
-    "StateFile",
     "TraceMonomial",
     "UnsupportedSizeError",
     "Verdict",

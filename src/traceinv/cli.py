@@ -39,14 +39,6 @@ def format_value(z) -> str:
     return s
 
 
-def _load(path, kind):
-    """The state file at ``path``, which must be of the given kind."""
-    sf = load_state(path)
-    if sf.kind != kind:
-        raise ValueError(f"{path}: expected a state file of kind {kind!r}, got {sf.kind!r}")
-    return sf
-
-
 def _ints(text, option):
     """The comma-separated integers of an option's text, e.g. "2,2"."""
     try:
@@ -60,7 +52,7 @@ def _fmt_positions(positions):
 
 
 def _cmd_eval(args):
-    ops = _load(args.state, "operator_tuple").operators
+    ops = load_state(args.state, "operator_tuple")
     mon = parse_monomial(args.labels, args.perm)
     engine = eval_reference if args.engine == "ref" else eval_contract
     print(format_value(engine(mon, ops)))
@@ -68,7 +60,7 @@ def _cmd_eval(args):
 
 
 def _cmd_slocc_eval(args):
-    states = [_load(path, "pure_state").amplitudes for path in args.state]
+    states = [load_state(path, "pure_state") for path in args.state]
     mon = parse_monomial(args.labels, args.perm)
     print(format_value(eval_slocc(mon, states)))
     return 0
@@ -76,7 +68,7 @@ def _cmd_slocc_eval(args):
 
 def _cmd_compare(args):
     tol = _default_tol() if args.tol is None else check_tol(args.tol, "--tol")
-    a, b = (_load(path, "operator_tuple").operators for path in (args.a, args.b))
+    a, b = (load_state(path, "operator_tuple") for path in (args.a, args.b))
     verdict = decide_lu_equiv(a, b, max_degree=args.max_degree, tol=tol)
     if verdict.separated:
         va, vb = verdict.values

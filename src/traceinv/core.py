@@ -109,7 +109,7 @@ class OperatorTuple:
                 raise ValueError(
                     f"matrix {k} has shape {M.shape}, expected ({D}, {D}) for dims {self.dims.sizes}"
                 )
-            if not np.all(np.isfinite(M.view(float))):
+            if not np.isfinite(M).all():
                 raise ValueError(f"matrix {k} contains non-finite entries")
 
     @property

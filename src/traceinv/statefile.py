@@ -14,7 +14,9 @@ canonical, so load/save round-trips are byte identical):
 Complex numbers are stored as [re, im] pairs of finite numbers, so files
 are strict JSON: saving a NaN or an infinity raises ValueError.  An
 operator tuple's data is a list of row-major matrices; a pure state's data
-is a flat amplitude list with dims fixed at [2]*n.
+is a flat amplitude list with dims fixed at [2]*n.  A file loads to what
+it holds, an ``OperatorTuple`` or a pure state's amplitude vector, and
+``load_state(path, kind)`` rejects a file of the other kind.
 
 Loading checks the document's structure, then decodes each matrix, or the
 amplitude list, with one routine: a pass over the entries that checks each
@@ -28,7 +30,6 @@ parser.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +42,10 @@ VERSION = 1
 _NUMBER = (int, float)  # exact JSON number types; bool is not among them
 
 
-@dataclass(frozen=True)
-class StateFile:
-    kind: str
-    dims: Dims
-    operators: OperatorTuple | None = None
-    amplitudes: np.ndarray | None = None
-
-
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(a):
+    """The entries of a complex array as nested lists of [re, im] floats."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def _dump(doc) -> bytes:
@@ -59,9 +53,8 @@ def _dump(doc) -> bytes:
 
 
 def operator_tuple_bytes(ops: OperatorTuple) -> bytes:
-    data = [[[_pair(z) for z in row] for row in M] for M in ops.matrices]
     return _dump(
-        {"data": data, "dims": list(ops.dims.sizes), "format": FORMAT,
+        {"data": _pairs(ops.matrices), "dims": list(ops.dims.sizes), "format": FORMAT,
          "kind": "operator_tuple", "version": VERSION}
     )
 
@@ -70,15 +63,15 @@ def pure_state_bytes(amplitudes) -> bytes:
     v = np.asarray(amplitudes, dtype=complex).ravel()
     n = _qubit_count(v.size)
     return _dump(
-        {"data": [_pair(z) for z in v], "dims": [2] * n, "format": FORMAT,
+        {"data": _pairs(v), "dims": [2] * n, "format": FORMAT,
          "kind": "pure_state", "version": VERSION}
     )
 
 
-def state_bytes(sf: StateFile) -> bytes:
-    if sf.kind == "operator_tuple":
-        return operator_tuple_bytes(sf.operators)
-    return pure_state_bytes(sf.amplitudes)
+def state_bytes(state: OperatorTuple | np.ndarray) -> bytes:
+    if isinstance(state, OperatorTuple):
+        return operator_tuple_bytes(state)
+    return pure_state_bytes(state)
 
 
 def _as_complex(rows, what) -> np.ndarray:
@@ -122,7 +115,8 @@ def _as_complex(rows, what) -> np.ndarray:
     return values.view(complex).reshape(len(rows), -1)
 
 
-def loads_state(raw: bytes | str) -> StateFile:
+def loads_state(raw: bytes | str) -> OperatorTuple | np.ndarray:
+    """The operator tuple or the amplitude vector a state document holds."""
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -157,22 +151,29 @@ def loads_state(raw: bytes | str) -> StateFile:
             ):
                 raise ValueError(f"matrix {k} is not {D}x{D}")
             mats.append(_as_complex(M, f"matrix {k}"))
-        return StateFile(kind=kind, dims=dims, operators=OperatorTuple(dims, tuple(mats)))
+        return OperatorTuple(dims, tuple(mats))
 
     if kind == "pure_state":
         if any(d != 2 for d in dims.sizes):
             raise ValueError(f"pure_state dims must all be 2, got {dims.sizes}")
         if not isinstance(data, list) or len(data) != dims.total:
             raise ValueError(f"pure_state data must list {dims.total} amplitudes")
-        v = _as_complex([data], "amplitude")[0]
-        return StateFile(kind=kind, dims=dims, amplitudes=v)
+        return _as_complex([data], "amplitude")[0]
 
     raise ValueError(f"unrecognized kind {kind!r}")
 
 
-def load_state(path) -> StateFile:
+def load_state(path, kind=None) -> OperatorTuple | np.ndarray:
+    """The state file at ``path``, which must be of ``kind`` when one is given.
+
+    The whole file is decoded first, so a malformed file reports its own
+    fault before a kind mismatch."""
     with open(path, "rb") as fh:
-        return loads_state(fh.read())
+        state = loads_state(fh.read())
+    got = "operator_tuple" if isinstance(state, OperatorTuple) else "pure_state"
+    if kind is not None and got != kind:
+        raise ValueError(f"{path}: expected a state file of kind {kind!r}, got {got!r}")
+    return state
 
 
 # each save encodes before it opens the file, so a failed one leaves it as it was

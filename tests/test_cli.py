@@ -556,7 +556,7 @@ class TestRandomAndRender:
     def test_random_density_count_default(self, tmp_path, capsys):
         out = tmp_path / "rho.json"
         assert main(["random", "--dims", "2", "--seed", "5", "--out", str(out)]) == 0
-        assert load_state(out).operators.m == 1
+        assert load_state(out).m == 1
 
     def test_render(self, tmp_path, capsys):
         out = tmp_path / "net.svg"

@@ -56,6 +56,15 @@ class TestOperatorTuple:
         M[0, 0] = np.nan
         with pytest.raises(ValueError):
             OperatorTuple(Dims((2,)), (M,))
+        M[0, 0], M[0, 1] = 1, complex(0, np.inf)
+        with pytest.raises(ValueError, match="matrix 0 contains non-finite entries"):
+            OperatorTuple(Dims((2,)), (M.T,))
+
+    def test_transposed_matrix(self):
+        # a non-contiguous matrix is kept as given, not refused
+        M = crandn(np.random.default_rng(86), 2, 2)
+        ops = OperatorTuple(Dims((2,)), (M.T,))
+        assert np.array_equal(ops.matrices[0], M.T)
 
     def test_m(self):
         ops = OperatorTuple(Dims((2,)), (np.eye(2), np.zeros((2, 2))))

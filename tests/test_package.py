@@ -13,7 +13,8 @@ def test_version_matches_pyproject():
 
 
 def test_removed_names_stay_removed():
-    # removed in 0.2.0, when imports were allowed to break
-    for name in ("from_net_tensor", "network_edges"):
+    # removed in 0.2.0, when imports were allowed to break, and StateFile in
+    # 0.3.0, since a state file loads to the tuple or the vector it holds
+    for name in ("from_net_tensor", "network_edges", "StateFile"):
         assert name not in traceinv.__all__
         assert not hasattr(traceinv, name)

@@ -47,11 +47,11 @@ class TestRoundTrip:
         ops = sample_ops()
         path = tmp_path / "ops.json"
         save_operator_tuple(path, ops)
-        sf = load_state(path)
-        assert sf.kind == "operator_tuple"
-        assert sf.dims == ops.dims
-        assert sf.operators.m == 2
-        for a, b in zip(sf.operators.matrices, ops.matrices):
+        loaded = load_state(path)
+        assert isinstance(loaded, OperatorTuple)
+        assert loaded.dims == ops.dims
+        assert loaded.m == 2
+        for a, b in zip(loaded.matrices, ops.matrices):
             assert np.array_equal(a, b)
 
     def test_operator_tuple_bytes_stable(self):
@@ -63,10 +63,10 @@ class TestRoundTrip:
         v = crandn(rng, 8)
         path = tmp_path / "psi.json"
         save_pure_state(path, v)
-        sf = load_state(path)
-        assert sf.kind == "pure_state"
-        assert sf.dims.sizes == (2, 2, 2)
-        assert np.array_equal(sf.amplitudes, v)
+        loaded = load_state(path)
+        assert isinstance(loaded, np.ndarray)
+        assert loaded.shape == (8,)
+        assert np.array_equal(loaded, v)
 
     def test_pure_state_bytes_stable(self):
         rng = np.random.default_rng(82)
@@ -82,6 +82,104 @@ class TestRoundTrip:
         assert len(doc["data"]) == 2
         assert len(doc["data"][0]) == 6
         assert len(doc["data"][0][0][0]) == 2  # [re, im]
+
+
+def per_entry_bytes(kind, dims, data):
+    """A state document encoded entry by entry with ``complex(z)``."""
+    def pairs(x):
+        if np.ndim(x) == 0:
+            z = complex(x)
+            return [z.real, z.imag]
+        return [pairs(y) for y in x]
+
+    doc = {"data": pairs(data), "dims": dims, "format": "traceinv-state",
+           "kind": kind, "version": 1}
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+#: entries at the edges of the float range, and a signed zero
+EDGE_ENTRIES = [complex(-0.0, 5e-324), complex(1e308, -0.0), complex(-5e-324, -1e308), 0j]
+
+
+class TestEncoding:
+    """The encoders write the bytes a per-entry ``complex(z)`` encoding does."""
+
+    def test_transposed_matrix(self):
+        rng = np.random.default_rng(84)
+        M = crandn(rng, 4, 4)
+        M[0, :] = EDGE_ENTRIES
+        ops = OperatorTuple(Dims((2, 2)), (M.T, M))
+        assert not ops.matrices[0].flags.c_contiguous
+        raw = operator_tuple_bytes(ops)
+        assert raw == per_entry_bytes("operator_tuple", [2, 2], ops.matrices)
+        assert state_bytes(loads_state(raw)) == raw
+
+    def test_edge_amplitudes(self):
+        raw = pure_state_bytes(EDGE_ENTRIES)
+        assert raw == per_entry_bytes("pure_state", [2, 2], EDGE_ENTRIES)
+        assert json.loads(raw)["data"][0] == [-0.0, 5e-324]
+        assert str(json.loads(raw)["data"][0][0]) == "-0.0"
+        assert state_bytes(loads_state(raw)) == raw
+
+    def test_complex64_amplitudes(self):
+        rng = np.random.default_rng(85)
+        v = crandn(rng, 8).astype(np.complex64)
+        raw = pure_state_bytes(v)
+        assert raw == per_entry_bytes("pure_state", [2, 2, 2], v)
+        assert state_bytes(loads_state(raw)) == raw
+
+
+class TestKind:
+    """``load_state(path, kind)`` decodes the whole file, then checks its kind."""
+
+    def saved(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        if kind == "operator_tuple":
+            save_operator_tuple(path, sample_ops())
+        else:
+            save_pure_state(path, [1, 0, 0, 0])
+        return path
+
+    @pytest.mark.parametrize("kind", ["operator_tuple", "pure_state"])
+    def test_matching_kind(self, tmp_path, kind):
+        path = self.saved(tmp_path, kind)
+        assert state_bytes(load_state(path, kind)) == path.read_bytes()
+        assert state_bytes(load_state(path)) == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, other", [("operator_tuple", "pure_state"), ("pure_state", "operator_tuple")]
+    )
+    def test_other_kind(self, tmp_path, kind, other):
+        path = self.saved(tmp_path, other)
+        with pytest.raises(ValueError) as exc:
+            load_state(path, kind)
+        assert str(exc.value) == f"{path}: expected a state file of kind {kind!r}, got {other!r}"
+
+    @pytest.mark.parametrize("kind", ["operator_tuple", "pure_state"])
+    def test_malformed_file_of_other_kind(self, tmp_path, kind):
+        # the decode error comes first, as the whole document is read before its kind
+        path = tmp_path / "bad.json"
+        texts = pair_texts([(0.5, 0)] * 4)
+        texts[2] = "[1]"
+        if kind == "operator_tuple":
+            path.write_text(pure_state_text(texts))
+            expect = "amplitude: expected a [re, im] number pair, got [1]"
+        else:
+            path.write_text(operator_tuple_text([[texts[0:2], texts[2:4]]], [2]))
+            expect = "matrix 0: expected a [re, im] number pair, got [1]"
+        with pytest.raises(ValueError) as exc:
+            load_state(path, kind)
+        assert str(exc.value) == expect
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = self.saved(tmp_path, "pure_state")
+        code = main(["eval", "--state", str(path), "--labels", "1", "--perm", "()"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: expected a state file of kind 'operator_tuple', got 'pure_state'\n"
+        )
 
 
 def pure_state_text(pairs):
@@ -122,7 +220,7 @@ class TestDecoding:
 
     def test_pure_state_bit_identical(self):
         values = self.sample_values()
-        v = loads_state(pure_state_text(pair_texts(values))).amplitudes
+        v = loads_state(pure_state_text(pair_texts(values)))
         expect = np.array([complex(re, im) for re, im in values])
         assert v.shape == (64,)
         assert np.array_equal(v.view(np.uint8), expect.view(np.uint8))
@@ -131,7 +229,7 @@ class TestDecoding:
         values = self.sample_values()
         texts = pair_texts(values)
         mats = [[half[4 * r : 4 * r + 4] for r in range(4)] for half in (texts[:16], texts[16:32])]
-        ops = loads_state(operator_tuple_text(mats, [2, 2])).operators
+        ops = loads_state(operator_tuple_text(mats, [2, 2]))
         for k, M in enumerate(ops.matrices):
             expect = np.array(
                 [[complex(*values[16 * k + 4 * r + c]) for c in range(4)] for r in range(4)]
@@ -140,7 +238,7 @@ class TestDecoding:
             assert np.array_equal(M.view(np.uint8), expect.view(np.uint8))
 
     def test_one_by_one_matrix(self):
-        ops = loads_state(operator_tuple_text([[["[2, -0.0]"]]], [1])).operators
+        ops = loads_state(operator_tuple_text([[["[2, -0.0]"]]], [1]))
         assert ops.matrices[0].shape == (1, 1)
         assert np.array_equal(ops.matrices[0].view(np.uint8), np.array([[complex(2, -0.0)]]).view(np.uint8))
 

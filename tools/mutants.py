@@ -152,6 +152,20 @@ MUTANTS = [
         "    if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:\n        return None\n",
         "",
     ),
+    # the state files: a file of the wrong kind let through, or each
+    # [re, im] pair written the wrong way round
+    (
+        "load_kind_unchecked",
+        "statefile.py",
+        "if kind is not None and got != kind:",
+        "if False:",
+    ),
+    (
+        "pairs_im_re",
+        "statefile.py",
+        "a.view(float).reshape(*a.shape, 2).tolist()",
+        "a.view(float).reshape(*a.shape, 2)[..., ::-1].tolist()",
+    ),
     # the size envelopes: each lets a request past its limit through, or
     # maps it to the wrong exit code
     (
