@@ -90,7 +90,7 @@ def _qubit_count(length):
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as its arrays are
 class OperatorTuple:
     """An ordered tuple (M_1, ..., M_m) of D x D matrices on a common product space."""
 

@@ -137,17 +137,17 @@ def _walk(m, max_degree, caps, sizes, stacks):
     so a caller that stops early builds no higher degree and runs no step
     past its stop.  A degree that ``_program`` does not keep is generated as
     it is read, each monomial run as a program of its own.  Every program
-    runs on all the tuples at once, stacked along the batch axis, with one
-    memo of box traces for the whole walk (``evaluate._execute``).
+    runs on all the tuples at once, stacked along the batch axis
+    (``evaluate._execute``), and is a function of its operands alone: the
+    walk keeps nothing between programs.
     """
-    memo = {}
     for ell in range(1, max_degree + 1):
         program = _program(m, ell, sizes)
         if program is None:
             for mon in _generate(m, ell, caps, connected_only=True, canonical=True):
-                yield mon, _run(mon, sizes, stacks, memo)
+                yield mon, _run(mon, sizes, stacks)
         else:
-            yield from _execute(program, sizes, stacks, memo)
+            yield from _execute(program, stacks)
 
 
 def fingerprint(ops: OperatorTuple, max_degree) -> Fingerprint:

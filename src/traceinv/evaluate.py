@@ -20,28 +20,25 @@ no limit at all (README, "Envelopes").  A network's envelopes (boxes and
 total dimension) and its path depend only on (perms, dims), never on
 labels or matrix values, so ``_plan`` owns that key: it checks the
 envelopes, plans the path, compiles it into a program of the steps numpy's
-einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step,
-between transposes and reshapes), and an LRU cache of 2**14 networks keeps
-the programs.  The cache stores no call that raised, so nothing outside the
-envelopes is planned or cached, and a hit skips only checks its key has
-already passed.  A program is in register form: the boxes are its first
-registers and each step writes one more.  Every operand carries a leading
-batch axis, so one run evaluates a monomial on a stack of T tuples at once.
-A box with a fixed point is traced before the steps, and that trace depends
-only on the box's label and its pattern of repeated indices, which the
-program records.  ``_compile`` merges the programs of many monomials into
-one, in which each box operand (label and trace pattern) and each distinct
-step (same step, args and input registers) appears once, so an
-intermediate that several monomials share is computed once; each
-intermediate is dropped after the last instruction that reads it.  ``_execute``
-is the one runner: ``equivalence`` runs one compiled program per degree of
-a walk, with both tuples of a comparison stacked, and ``eval_contract`` a
-monomial's own program with T = 1.  The runner takes a memo of traced
-boxes from its caller: ``equivalence`` keeps one per walk, so each (label,
-pattern) is traced once however many monomials share it, and
-``eval_contract`` a fresh one per call.  The memoized trace is the same
-einsum call the step would make, and a shared step is the same call on the
-same operands, so values do not change.
+einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step, each
+operand read through a transpose and reshape), and an LRU cache of 2**14
+networks keeps the programs.  The cache stores no call that raised, so
+nothing outside the envelopes is planned or cached, and a hit skips only
+checks its key has already passed.  A program is in register form and a pure function of its
+operands: the boxes are its first registers, each its label's matrix, and
+each step writes one more, holding what the step computed (a ``matmul`` its
+raw product), which each reader views in the layout it needs.  Every
+operand carries a leading batch axis, so one run evaluates a monomial on a
+stack of T tuples at once.  A box with a fixed point is traced by an einsum
+step of its own.  ``_compile`` merges the programs of many monomials into
+one, in which each label's matrix and each distinct step (same step, args
+and input registers) appears once, so an intermediate that several
+monomials share is computed once, whatever layout each reads it in; each
+intermediate is dropped after the last instruction that reads it.
+``_execute`` is the one runner: ``equivalence`` runs one compiled program
+per degree of a walk, with both tuples of a comparison stacked, and
+``eval_contract`` a monomial's own program with T = 1.  A shared step is the
+same call on the same operands, so values do not change.
 Agreement of the two engines on random inputs is the main internal
 correctness check of the package.
 """
@@ -125,8 +122,7 @@ def eval_reference(mon: TraceMonomial, ops: OperatorTuple) -> complex:
 # (n=3, m=1, degree 5) has 15,460 distinct networks.
 @lru_cache(maxsize=2**14)
 def _plan(perms, sizes):
-    """Check a network's size envelopes, then return its step program and
-    box traces.
+    """Check a network's size envelopes, then return its step program.
 
     The path depends only on shapes, so it is planned on zero-stride stand-in
     boxes.  The program replays it as numpy's einsum would, in register
@@ -134,15 +130,16 @@ def _plan(perms, sizes):
     (run, args, inputs, frees), where ``run(args, *operands)`` takes the
     registers named by ``inputs``, its result is register ell + k, and the
     registers named by ``frees`` are read by no later step; here each
-    register is read once, so ``frees`` is ``inputs``.  numpy names an
-    intermediate's indices in order of (dimension, subscript), and the last
-    step yields the scalar.  Every operand, the boxes included, has a
-    leading batch axis before the axes of ``_box_shape``, and each transpose
-    keeps axis 0 in front.  A box that a ``matmul`` or ``multiply`` step
-    would trace (a fixed point of a row) is traced before the steps instead:
-    its entry in the box traces is the einsum sublists of that trace with
-    indices renamed in order of first appearance (``_renamed``), and None
-    for every other box.  Steps of another kind trace their own operands.
+    register is read once, so ``frees`` is ``inputs``.  A box register holds
+    its label's matrix as given, (D, D) or a (T, D, D) stack, and a step
+    register what its step computed: a ``matmul`` its (batch, rows, cols)
+    product, and the other steps their indices in numpy's order, by
+    (dimension, subscript).  Each step reads an operand through one view from
+    the layout that operand is stored in (``_prep``), with a leading batch
+    axis before the axes of ``_box_shape``; the last step yields the scalar.
+    A box that a ``matmul`` or ``multiply`` step would trace (a fixed point
+    of a row) is traced by an einsum step of its own right before it, whose
+    sublists are renamed in order of first appearance (``_renamed``).
     """
     ell = len(perms[0])
     rows = [i for i, d in enumerate(sizes) if d > 1]
@@ -160,25 +157,26 @@ def _plan(perms, sizes):
     interleaved = [x for s in subs for x in (box, s)]
     path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", D**4))
     dim = {x: d for s in subs for x, d in zip(s, shape)}
-    registers = list(range(ell))
-    traces = [None] * ell
+    live = list(enumerate(subs))  # (register, index order it is stored in)
     steps = []
     for step in path[1:]:
         positions = sorted(step, reverse=True)
         ins = [subs.pop(p) for p in positions]
-        inputs = tuple(registers.pop(p) for p in positions)
+        inputs, lays = zip(*[live.pop(p) for p in positions])
         out = tuple(sorted(set().union(*ins) & set().union(*subs), key=lambda x: (dim[x], x)))
         subs.append(out)
-        registers.append(ell + len(steps))
-        run, args = _step(ins, out, dim)
+        run, args, lay = _step(ins, lays, out, dim)
         if run is not _einsum_step:
-            # only a box repeats an index; its trace moves out of the step
-            for r, (trace, _) in zip(inputs, args[:2]):
+            # only a box repeats an index: an einsum step traces it first
+            inputs = list(inputs)
+            for k, (trace, _) in enumerate(args):
                 if trace is not None:
-                    traces[r] = _renamed(trace)
-            args = (args[0][1], args[1][1], *args[2:])
+                    steps.append((_einsum_step, trace, (inputs[k],), (inputs[k],)))
+                    inputs[k] = ell + len(steps) - 1
+            args, inputs = (args[0][1], args[1][1]), tuple(inputs)
+        live.append((ell + len(steps), lay))
         steps.append((run, args, inputs, inputs))
-    return tuple(steps), tuple(traces)
+    return tuple(steps)
 
 
 def _box_shape(sizes):
@@ -197,72 +195,80 @@ def _renamed(subscripts):
     )
 
 
-def _step(ins, out, dim):
-    """(run, args) of one contraction step, as numpy 2.4's einsum runs it.
+def _step(ins, lays, out, dim):
+    """(run, args, lay) of one contraction step, as numpy 2.4's einsum runs
+    it, on operands with indices ``ins`` stored in the orders ``lays``;
+    ``lay`` is the order its result is stored in.
 
     Two operands with a contracted index meet in one ``matmul``: the left
     operand (the higher position) is laid out as (kept + contracted), the
     right as (contracted + kept), the contracted indices in the order the
-    left operand lists them.  Every subscript names one bond, so it occurs
-    twice in the network: no index is both shared and kept, and one that
-    repeats within an operand (a trace) is neither.  Two
-    operands with nothing to contract are multiplied with size-1 axes
-    inserted.  Any other step is a plain einsum.
+    left operand lists them, and the product is stored as (left kept +
+    right kept).  Every subscript names one bond, so it occurs twice in the
+    network: no index is both shared and kept, and one that repeats within
+    an operand (a trace) is neither.  Two operands with nothing to contract
+    are multiplied with size-1 axes inserted.  Any other step is a plain
+    einsum, which reads each operand in its stored order.
     """
     if len(ins) != 2:
-        return _einsum_step, (tuple((..., *t) for t in ins), (..., *out))
+        return _einsum_step, _einsum(lays, out, dim), out
     a, b = ins
     con = [x for x in a if x in b and x not in out]
     if not con:
         return _multiply_step, tuple(
-            _prep(t, [x for x in out if x in t], (-1, *[dim[x] if x in t else 1 for x in out]))
-            for t in (a, b)
-        )
+            _prep(t, lay, [x for x in out if x in t], (-1, *[dim[x] if x in t else 1 for x in out]), dim)
+            for t, lay in zip(ins, lays)
+        ), out
     a_keep = [x for x in a if x in out]
     b_keep = [x for x in b if x in out]
-    kept = a_keep + b_keep
     con_size = prod(dim[x] for x in con)
     return _matmul_step, (
-        _prep(a, a_keep + con, (-1, prod(dim[x] for x in a_keep), con_size)),
-        _prep(b, con + b_keep, (-1, con_size, prod(dim[x] for x in b_keep))),
-        (-1, *[dim[x] for x in kept]),
-        None if tuple(kept) == out else (0, *[kept.index(x) + 1 for x in out]),
-    )
+        _prep(a, lays[0], a_keep + con, (-1, prod(dim[x] for x in a_keep), con_size), dim),
+        _prep(b, lays[1], con + b_keep, (-1, con_size, prod(dim[x] for x in b_keep)), dim),
+    ), tuple(a_keep + b_keep)
 
 
-def _prep(term, want, shape):
-    """(trace, (axes, shape)) bringing an operand with indices ``term`` to
-    the indices ``want``, then to ``shape``.  A repeated index (a fixed point
-    of a row) is traced out by a plain einsum, whose sublists ``trace``
-    holds, and ``_plan`` hoists it out of the step; otherwise a transpose
-    will do."""
+def _einsum(lays, out, dim):
+    """(views, sublists) of an einsum step that reads each operand in the
+    index order ``lays`` it is stored in; the last sublist is the output's."""
+    views = tuple([(None, None, (-1, *[dim[x] for x in lay])) for lay in lays])
+    return views, (*[(..., *lay) for lay in lays], (..., *out))
+
+
+def _prep(term, lay, want, shape, dim):
+    """(trace, view) reading an operand with indices ``term``, stored in the
+    order ``lay``, as the indices ``want`` in ``shape``.  A view is
+    (stored, axes, shape): reshape to the stored layout, transpose by
+    ``axes``, then reshape to ``shape``; with ``axes`` None the orders agree
+    and one reshape will do.  A repeated index (a fixed point of a row) is
+    only a box's, stored as ``term``: an einsum step, whose args ``trace``
+    holds, traces it out first, into the order ``want``."""
     want = tuple(want)
-    if term == want:
-        return None, (None, shape)
+    if lay == want:
+        return None, (None, None, shape)
     if len(set(term)) < len(term):
-        return ((..., *term), (..., *want)), (None, shape)
-    return None, ((0, *[term.index(x) + 1 for x in want]), shape)
+        views, subscripts = _einsum([term], want, dim)
+        return (views, _renamed(subscripts)), (None, None, shape)
+    return None, ((-1, *[dim[x] for x in lay]), (0, *[lay.index(x) + 1 for x in want]), shape)
 
 
-def _prepared(x, prep):
-    axes, shape = prep
-    return (x if axes is None else x.transpose(axes)).reshape(shape)
+def _viewed(x, view):
+    stored, axes, shape = view
+    return (x if axes is None else x.reshape(stored).transpose(axes)).reshape(shape)
 
 
 def _matmul_step(args, a, b):
-    prep_a, prep_b, shape, axes = args
-    ab = np.matmul(_prepared(a, prep_a), _prepared(b, prep_b)).reshape(shape)
-    return ab if axes is None else ab.transpose(axes)
+    return np.matmul(_viewed(a, args[0]), _viewed(b, args[1]))
 
 
 def _multiply_step(args, a, b):
-    prep_a, prep_b = args
-    return np.multiply(_prepared(a, prep_a), _prepared(b, prep_b))
+    return np.multiply(_viewed(a, args[0]), _viewed(b, args[1]))
 
 
 def _einsum_step(args, *operands):
-    terms, out = args
-    return np.einsum(*[x for pair in zip(operands, terms) for x in pair], out)
+    views, subscripts = args
+    operands = map(_viewed, operands, views)
+    return np.einsum(*[x for pair in zip(operands, subscripts) for x in pair], subscripts[-1])
 
 
 def _compile(mons, sizes):
@@ -270,29 +276,29 @@ def _compile(mons, sizes):
     each shared intermediate once.
 
     The plans of the monomials are merged into one register program, a tuple
-    of segments (mon, loads, code, out), one per monomial in order.  Each box
-    operand, a (label, trace) pair, is one register, loaded where a monomial
-    first uses it; each distinct step is one instruction (run, args, inputs,
-    frees), and two steps are the same when they have the same run, args and
-    input registers.  ``out`` is the register of the monomial's last step.
-    ``frees`` names the registers that no later instruction or ``out``
-    reads, so the runner drops each intermediate after its last reader and
-    only those a later monomial reads stay alive.  Values are those of each
-    monomial's own plan: the same steps run on the same operands.
+    of segments (mon, loads, code, out), one per monomial in order.  Each
+    label's matrix is one register, loaded where a monomial first uses it;
+    each distinct step is one instruction (run, args, inputs, frees), and
+    two steps are the same when they have the same run, args and input
+    registers, so boxes of one label that trace alike are traced once.
+    ``out`` is the register of the monomial's last step.  ``frees`` names
+    the registers that no later instruction or ``out`` reads, so the runner
+    drops each intermediate after its last reader and only those a later
+    monomial reads stay alive.  Values are those of each monomial's own
+    plan: the same steps run on the same operands.
     """
-    registers = {}  # (label, trace) or (run, args, inputs) -> register
+    registers = {}  # label or (run, args, inputs) -> register
     shared = {}  # one copy of equal args, which the plans hold apart
     segments = []
     for mon in mons:
-        steps, traces = _plan(mon.perms, sizes)
         local, loads, code = [], [], []
         # setdefault hashes each key once: it returns ``new`` for a new key
-        for label, trace in zip(mon.labels, traces):
+        for label in mon.labels:
             new = len(registers)
-            local.append(registers.setdefault((label, trace), new))
+            local.append(registers.setdefault(label, new))
             if local[-1] == new:
-                loads.append((label, trace))
-        for run, args, inputs, _ in steps:
+                loads.append(label)
+        for run, args, inputs, _ in _plan(mon.perms, sizes):
             inputs = tuple(map(local.__getitem__, inputs))
             new = len(registers)
             local.append(registers.setdefault((run, args, inputs), new))
@@ -312,42 +318,30 @@ def _compile(mons, sizes):
     return tuple((mon, loads, tuple(code), out) for mon, loads, code, out in segments)
 
 
-def _execute(program, sizes, matrices, memo):
+def _execute(program, matrices):
     """Run a program of ``_compile``'s form, yielding ``(mon, values)`` on T
     tuples at once as soon as each monomial's last step has run, each value
     checked by ``_finite``.
 
     ``matrices[label]`` is a (D, D) matrix (T = 1) or a (T, D, D) stack.
-    ``memo`` maps (label, trace pattern) to that box's traced operand; it is
-    only valid for these ``sizes`` and ``matrices``, so a caller keeps one
-    per walk over fixed inputs.  Each instruction drops its ``frees`` once
-    it has run, so at most the operands of the current monomial and the
-    intermediates a later one reads are alive at a time.
+    Each instruction drops its ``frees`` once it has run, so at most the
+    operands of the current monomial and the intermediates a later one reads
+    are alive at a time.
     """
-    shape = (-1, *_box_shape(sizes))
     registers = []
     for mon, loads, code, out in program:
-        for label, trace in loads:
-            x = matrices[label].reshape(shape)
-            if trace is not None:
-                key = label, trace
-                if key not in memo:
-                    memo[key] = np.einsum(x, *trace)
-                x = memo[key]
-            registers.append(x)
+        registers.extend(matrices[label] for label in loads)
         for run, args, inputs, frees in code:
             registers.append(run(args, *[registers[i] for i in inputs]))
             for i in frees:
                 registers[i] = None
-        yield mon, tuple(map(_finite, registers[out].tolist()))
+        yield mon, tuple(map(_finite, registers[out].reshape(-1).tolist()))
 
 
-def _run(mon: TraceMonomial, sizes, matrices, memo) -> tuple[complex, ...]:
+def _run(mon: TraceMonomial, sizes, matrices) -> tuple[complex, ...]:
     """The values of ``mon`` on T tuples at once: its plan is a program of
     one segment, with a register per box, run by ``_execute``."""
-    steps, traces = _plan(mon.perms, sizes)
-    program = ((mon, tuple(zip(mon.labels, traces)), steps, -1),)
-    [(_, values)] = _execute(program, sizes, matrices, memo)
+    [(_, values)] = _execute(((mon, mon.labels, _plan(mon.perms, sizes), -1),), matrices)
     return values
 
 
@@ -373,5 +367,5 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     to rounding.
     """
     _check_compat(mon, ops.dims, ops.m)
-    (value,) = _run(mon, ops.dims.sizes, ops.matrices, {})
+    (value,) = _run(mon, ops.dims.sizes, ops.matrices)
     return value

@@ -96,7 +96,7 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
     sizes = (2,) * n
     _check_compat(mon, Dims(sizes), len(states))
     _plan(mon.perms, sizes)  # runs the size checks; _run then hits
-    (value,) = _run(mon, sizes, [embed_state(v) for v in states], {})
+    (value,) = _run(mon, sizes, [embed_state(v) for v in states])
     return value
 
 

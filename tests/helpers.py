@@ -50,6 +50,13 @@ def interleaved(mon, ops):
     return args + [[]]
 
 
+def is_box_trace(steps, k):
+    """Whether step k of a ``_plan`` program traces a box for a pairwise
+    step after it: it reads one register, which otherwise only the one step
+    of a one-box network does."""
+    return len(steps[k][2]) == 1 and k + 1 < len(steps)
+
+
 def count_connectivity_tests(monkeypatch):
     """A list that grows by one per ``is_connected`` call the enumeration
     makes: with ``connected_only`` that is one per monomial it builds."""

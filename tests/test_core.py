@@ -70,6 +70,12 @@ class TestOperatorTuple:
         ops = OperatorTuple(Dims((2,)), (np.eye(2), np.zeros((2, 2))))
         assert ops.m == 2
 
+    def test_compares_by_identity(self):
+        # equal contents are not equal tuples, and comparing raises nothing
+        ops, same = (OperatorTuple(Dims((2,)), (np.eye(2),)) for _ in range(2))
+        assert ops == ops and ops != same
+        assert {ops, ops, same} == {ops, same}
+
 
 class TestKron:
     def test_entrywise(self):

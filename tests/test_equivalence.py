@@ -40,6 +40,7 @@ from helpers import (
     count_connectivity_tests,
     crandn,
     interleaved,
+    is_box_trace,
     random_ops,
     scaled_pair,
 )
@@ -320,11 +321,14 @@ class TestNoFalseIndistinguishable:
 
 
 # (dims, m, max_degree) of the batched-evaluation audit.  In the m = 2
-# cases boxes of both labels trace alike, so the walk's trace memo must
-# tell the labels apart
+# cases boxes of both labels trace alike, so the program must trace each
+# label's boxes apart
 BATCH_CASES = [
     ((2, 2), 1, 5), ((2, 3), 1, 4), ((3, 3), 1, 5), ((2, 2, 2), 1, 3), ((2, 2), 2, 3), ((3, 2), 2, 3),
 ]
+# walks whose products are read back through views that transpose and
+# reshape them, and walks whose d = 1 rows leave little or nothing to lay out
+LAYOUT_CASES = [((8, 8), 1, 3), ((2,) * 6, 1, 3), ((1, 1), 2, 4), ((2, 1, 3), 2, 3)]
 
 
 def walk_listing(dims, m, max_degree):
@@ -339,6 +343,16 @@ def einsum_bits(mon, ops):
     return bits(complex(np.einsum(*interleaved(mon, ops), optimize=("greedy", ops.dims.total**4))))
 
 
+def box_traces(mon, sizes):
+    """(args, label) of each box trace in the plan of ``mon``."""
+    steps = _plan(mon.perms, sizes)
+    return [
+        (args, mon.labels[inputs[0]])
+        for k, (_, args, inputs, _) in enumerate(steps)
+        if is_box_trace(steps, k)
+    ]
+
+
 @pytest.mark.skipif(not EINSUM_BITWISE, reason="bit-identical steps need numpy >= 2.4")
 class TestBatchedInvariants:
     def test_bit_identical_to_eval_contract(self):
@@ -348,25 +362,29 @@ class TestBatchedInvariants:
         # of np.einsum on the same path.  The full listings add the
         # disconnected networks, whose outer products are the multiply steps
         steps = set()
-        for dims, m, max_degree in BATCH_CASES:
+        for dims, m, max_degree in BATCH_CASES + LAYOUT_CASES:
             dims = Dims(dims)
             rng = np.random.default_rng(len(dims.sizes) * 10 + m)
             tuples = [random_ops(rng, dims, m) for _ in range(3)]
+            # a layout case walks once, cold, against eval_contract alone,
+            # whose np.einsum bits test_evaluate pins on these shapes:
+            # (2,) * 6 has 8,051 monomials at degree 3
+            audit = (dims.sizes, m, max_degree) in BATCH_CASES
             _program.cache_clear()
             _plan.cache_clear()
-            for _ in ("cold", "warm"):
+            for _ in range(2 if audit else 1):
                 for mon, values in _invariants(tuples, max_degree):
                     want = [bits(eval_contract(mon, t)) for t in tuples]
                     assert [bits(v) for v in values] == want
-                    assert want == [einsum_bits(mon, t) for t in tuples]
+                    assert not audit or want == [einsum_bits(mon, t) for t in tuples]
+            if not audit:
+                continue
             stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
-            memo = {}
             for mon in enumerate_monomials(dims.n, m, max_degree):
-                values = _run(mon, dims.sizes, stacks, memo)
+                values = _run(mon, dims.sizes, stacks)
                 assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
-                program, traces = _plan(mon.perms, dims.sizes)
-                steps.update(run for run, *_ in program)
-                if any(traces):
+                steps.update(run for run, *_ in _plan(mon.perms, dims.sizes))
+                if box_traces(mon, dims.sizes):
                     steps.add("trace")
         assert {_multiply_step, "trace"} <= steps
 
@@ -376,39 +394,38 @@ class TestBatchedInvariants:
         dims = Dims(dims)
         labels = {}
         for mon in walk_listing(dims, m, max_degree):
-            for label, trace in zip(mon.labels, _plan(mon.perms, dims.sizes)[1]):
-                if trace is not None:
-                    labels.setdefault(trace, set()).add(label)
+            for args, label in box_traces(mon, dims.sizes):
+                labels.setdefault(args, set()).add(label)
         assert any(len(seen) == m for seen in labels.values())
 
-    def test_each_pattern_traced_once_per_walk(self, monkeypatch):
-        # np.einsum runs once per (label, pattern) of the walk, plus once per
-        # einsum step; every other trace is served from the walk's memo
+    def test_each_pattern_traced_once_per_degree(self, monkeypatch):
+        # np.einsum runs once per einsum instruction of the walk's programs:
+        # once per (label, pattern) of a degree, plus once per distinct
+        # einsum step, fewer times than the plans trace boxes
         dims, m, max_degree = Dims((2, 2)), 2, 3
         tuples = [random_ops(np.random.default_rng(81), dims, m) for _ in range(2)]
-        patterns, einsum_steps, traced_boxes = set(), 0, 0
-        for mon in walk_listing(dims, m, max_degree):
-            program, traces = _plan(mon.perms, dims.sizes)
-            einsum_steps += sum(run is _einsum_step for run, *_ in program)
-            traced_boxes += sum(trace is not None for trace in traces)
-            patterns.update((label, t) for label, t in zip(mon.labels, traces) if t is not None)
+        traced_boxes = sum(len(box_traces(mon, dims.sizes)) for mon in walk_listing(dims, m, max_degree))
         calls = []
         real = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args) or real(*args))
         list(_invariants(tuples, max_degree))
-        assert len(calls) == len(patterns) + einsum_steps
-        assert len(patterns) < traced_boxes
+        instructions = [
+            run for ell in range(1, max_degree + 1)
+            for _, _, code, _ in _program(m, ell, dims.sizes) for run, *_ in code
+        ]
+        assert len(calls) == instructions.count(_einsum_step)
+        assert len(calls) < traced_boxes
 
     @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 1, 3)], ids=lambda s: "x".join(map(str, s)))
     def test_einsum_steps_keep_their_traces(self, sizes):
         # a network of one box is one einsum step, which traces its own
-        # operand: no box trace is hoisted out of it
+        # operand: no box trace is placed before it
         dims = Dims(sizes)
         ops = random_ops(np.random.default_rng(82), dims, 1)
         mon = TraceMonomial(labels=(0,), perms=((0,),) * dims.n)
-        [(run, (terms, _), *_)], traces = _plan(mon.perms, sizes)
-        assert run is _einsum_step and traces == (None,)
-        assert len(set(terms[0])) < len(terms[0])
+        [(run, (_, subscripts), *_)] = _plan(mon.perms, sizes)
+        assert run is _einsum_step
+        assert len(set(subscripts[0])) < len(subscripts[0])
         assert bits(eval_contract(mon, ops)) == einsum_bits(mon, ops)
 
 
@@ -527,21 +544,24 @@ def step_calls(monkeypatch):
 
 class TestProgram:
     def test_warm_bench_walk_runs_each_distinct_step_once(self, step_calls):
-        # the 688 monomials of the lu-compare walks plan 2,061 steps, and
-        # 1,424 of them are distinct within their degree
+        # the 688 monomials of the lu-compare walks plan 2,061 steps of
+        # their paths and 1,380 box traces, and 1,443 of these are distinct
+        # within their degree: 1,276 matmuls and 167 einsum steps
         for sizes, m, max_degree in BENCH_WALKS:
             walk(sizes, m, max_degree)
-        planned = sum(
-            len(_plan(mon.perms, sizes)[0])
+        plans = [
+            _plan(mon.perms, sizes)
             for sizes, m, max_degree in BENCH_WALKS
             for ell in range(1, max_degree + 1)
             for mon, *_ in _program(m, ell, sizes)
-        )
-        assert planned == 2061
+        ]
+        traces = sum(is_box_trace(steps, k) for steps in plans for k in range(len(steps)))
+        assert (len(plans), sum(map(len, plans)) - traces, traces) == (688, 2061, 1380)
         step_calls.clear()
         for sizes, m, max_degree in BENCH_WALKS:
             walk(sizes, m, max_degree)
-        assert len(step_calls) == 1424
+        assert len(step_calls) == 1443
+        assert sum(run.__name__ == "_matmul_step" for run in step_calls) == 1276
 
     def test_separated_walk_runs_no_step_past_its_witness(self, step_calls):
         # the witness is the second of three monomials of degree 2
@@ -587,8 +607,7 @@ def worst_span_residual(sizes, m, max_degree, cap, samples=200):
     rng = np.random.default_rng(0)
     D = int(np.prod(sizes))
     stacks = [crandn(rng, samples, D, D) / np.sqrt(2 * D) for _ in range(m)]
-    memo = {}
-    value = {mon: np.array(_run(mon, sizes, stacks, memo)) for mon in mons}
+    value = {mon: np.array(_run(mon, sizes, stacks)) for mon in mons}
 
     def products(total, start=0):
         # index tuples i_1 <= i_2 <= ... into ``kept`` whose degrees sum to total

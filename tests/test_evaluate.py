@@ -24,7 +24,7 @@ from traceinv import (
 )
 from traceinv.evaluate import _einsum_step, _multiply_step, _plan
 
-from helpers import EINSUM_BITWISE, bits, crandn, interleaved, random_mon, random_ops
+from helpers import EINSUM_BITWISE, bits, crandn, interleaved, is_box_trace, random_mon, random_ops
 
 ENGINES = [eval_reference, eval_contract]
 
@@ -214,11 +214,18 @@ def plan_path(perms, sizes):
     """The einsum path ``_plan`` compiled, read back from its steps: the
     operand list starts with the boxes' registers, and each step pops the
     positions of its input registers and appends its own, as the path step
-    listing those positions in ascending order does."""
+    listing those positions in ascending order does.  A box trace stands in
+    for the box it reads."""
     ell = len(perms[0])
     live = list(range(ell))
     path = ["einsum_path"]
-    for k, (_, _, inputs, _) in enumerate(_plan(perms, sizes)[0]):
+    steps = _plan(perms, sizes)
+    box = {}
+    for k, (_, _, inputs, _) in enumerate(steps):
+        inputs = [box.get(r, r) for r in inputs]
+        if is_box_trace(steps, k):
+            box[ell + k] = inputs[0]
+            continue
         path.append(tuple(sorted(live.index(r) for r in inputs)))
         live = [r for r in live if r not in inputs] + [ell + k]
     return path
@@ -388,14 +395,17 @@ class TestPlanCache:
 
 
 def step_runs(mon, sizes):
-    """The kind of each step in the program ``eval_contract`` runs."""
-    return [run for run, *_ in _plan(mon.perms, sizes)[0]]
+    """The kind of each step of the einsum path in the program
+    ``eval_contract`` runs."""
+    steps = _plan(mon.perms, sizes)
+    return [run for k, (run, *_) in enumerate(steps) if not is_box_trace(steps, k)]
 
 
 def traced_operands(mon, sizes):
     """How many operands of pairwise steps are prepared by a trace: each is
-    a box, traced before the steps."""
-    return sum(trace is not None for trace in _plan(mon.perms, sizes)[1])
+    a box, traced by an einsum step of its own."""
+    steps = _plan(mon.perms, sizes)
+    return sum(is_box_trace(steps, k) for k in range(len(steps)))
 
 
 class TestStepProgram:

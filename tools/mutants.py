@@ -2,11 +2,11 @@
 
 Each mutant is one textual edit (file, old, new) to the package source;
 ``old`` must occur exactly once in its file.  For each mutant the script
-copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, applies the edit there, runs the tier-1 tests and records
-whether they fail (the mutant is killed) or pass (it survived).  The
-unmutated copy runs first as a control and must pass.  The repository
-itself is never written.
+copies ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml`` to a
+temporary directory, applies the edit there, runs the tier-1 tests and
+records whether they fail (the mutant is killed, and the first failing test
+is printed) or pass (it survived).  The unmutated copy runs first as a
+control and must pass.  The repository itself is never written.
 
 Run from anywhere:  python tools/mutants.py
 Exits 0 when every mutant is killed, 1 otherwise.  The tests stop at the
@@ -90,8 +90,8 @@ MUTANTS = [
     (
         "contract_not_finite",
         "evaluate.py",
-        "yield mon, tuple(map(_finite, registers[out].tolist()))",
-        "yield mon, tuple(registers[out].tolist())",
+        "yield mon, tuple(map(_finite, registers[out].reshape(-1).tolist()))",
+        "yield mon, tuple(registers[out].reshape(-1).tolist())",
     ),
     # the batched walk: every side must reach the program, each on its own
     # batch row
@@ -104,8 +104,8 @@ MUTANTS = [
     (
         "batch_axis_dropped",
         "evaluate.py",
-        "(0, *[term.index(x) + 1 for x in want])",
-        "tuple(map(term.index, want))",
+        "(0, *[lay.index(x) + 1 for x in want])",
+        "tuple(map(lay.index, want))",
     ),
     (
         "count_least_excluded",
@@ -113,9 +113,10 @@ MUTANTS = [
         "if value < least:",
         "if value <= least:",
     ),
-    # the per-walk caches: a program or a traced box served for the wrong
-    # key, a step of a program merged with another that differs from it, or
-    # an intermediate kept alive past its last read
+    # the per-walk cache and the step programs: a program served for the
+    # wrong key, every box read from one register, a step merged with
+    # another that differs from it, a product read in a layout it was not
+    # stored in, or an intermediate kept alive past its last read
     (
         "walk_key_drops_m",
         "equivalence.py",
@@ -123,22 +124,22 @@ MUTANTS = [
         "def _program(m, ell, sizes, _first={}):\n    m = _first.setdefault((ell, sizes), m)\n",
     ),
     (
-        "trace_memo_drops_label",
+        "box_key_shared",
         "evaluate.py",
-        "key = label, trace",
-        "key = trace",
-    ),
-    (
-        "program_key_drops_labels",
-        "evaluate.py",
-        "registers.setdefault((label, trace), new)",
-        "registers.setdefault(trace, new)",
+        "registers.setdefault(label, new)",
+        "registers.setdefault(None, new)",
     ),
     (
         "program_key_drops_args",
         "evaluate.py",
         "registers.setdefault((run, args, inputs), new)",
         "registers.setdefault((run, inputs), new)",
+    ),
+    (
+        "product_layout_ignored",
+        "evaluate.py",
+        "    ), tuple(a_keep + b_keep)\n",
+        "    ), out\n",
     ),
     (
         "program_never_frees",
@@ -210,10 +211,11 @@ def _check_unique():
 
 
 def _run_tests(mutant=None):
-    """Run tier-1 on a fresh copy with ``mutant`` applied; True if it passes."""
+    """Run tier-1 on a fresh copy with ``mutant`` applied: (passed, the
+    first failure pytest reports, or "timeout")."""
     with tempfile.TemporaryDirectory(prefix="traceinv-mutant-") as tmp:
         tmp = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):
             shutil.copytree(ROOT / part, tmp / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", tmp)
         if mutant is not None:
@@ -224,25 +226,29 @@ def _run_tests(mutant=None):
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--continue-on-collection-errors"]
         try:
-            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT_S)
+            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return False
-        return done.returncode == 0
+            return False, "timeout"
+        failures = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+        return done.returncode == 0, (failures or [""])[0]
 
 
 def main():
     _check_unique()
     start = time.perf_counter()
-    if not _run_tests():
-        print("control: the unmutated tests fail, so no mutant can be judged")
+    passed, failure = _run_tests()
+    if not passed:
+        print(f"control: the unmutated tests fail, so no mutant can be judged: {failure}")
         return 1
     print(f"control: passed in {time.perf_counter() - start:.1f} s")
     survivors = []
     for mutant in MUTANTS:
         start = time.perf_counter()
-        survived = _run_tests(mutant)
+        survived, failure = _run_tests(mutant)
         verdict = "SURVIVED" if survived else "killed"
-        print(f"{mutant[0]:<28} {verdict:<8} {time.perf_counter() - start:6.1f} s", flush=True)
+        print(f"{mutant[0]:<28} {verdict:<8} {time.perf_counter() - start:6.1f} s  {failure}",
+              flush=True)
         if survived:
             survivors.append(mutant[0])
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
