@@ -4,9 +4,10 @@
 
 PARENT and CHANGE are source checkouts, each with its own ``bench/run.py``
 and ``src/``.  Pair i runs ``bench/run.py`` once from each side, the parent
-first in even pairs and the change first in odd ones, with the same seed
-and ``--seconds``, under ``PYTHONDONTWRITEBYTECODE=1``.  Each run's line of
-end-to-end metrics is printed as it ends.  Then, for each workload and each
+first in even pairs and the change first in odd ones, at seed 1 for the
+``run_seconds`` of the parent's ``BENCHMARK.json``, under
+``PYTHONDONTWRITEBYTECODE=1``.  Each run's line of end-to-end metrics is
+printed as it ends.  Then, for each workload and each
 end-to-end metric of the parent's ``BENCHMARK.json``, one line gives the
 median and quartiles of each side, the ratio of the medians and the pairs
 the change won.  A metric is "unresolved" when the parent's spread (its
@@ -69,10 +70,10 @@ def _bytecode(checkout):
     return sorted((checkout / "src").rglob("__pycache__"))
 
 
-def _run(checkout, workload, seed, seconds):
+def _run(checkout, workload, seconds):
     """One benchmark run from ``checkout``: (correct, metric values)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", "1", "--seconds", str(seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     try:
@@ -91,8 +92,6 @@ def main(argv=None):
     parser.add_argument("--workload", action="append",
                         help="repeat for several; default: every workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -114,7 +113,7 @@ def main(argv=None):
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                correct, values = _run(sides[side], workload, args.seed, args.seconds)
+                correct, values = _run(sides[side], workload, bench["run_seconds"])
                 all_correct &= correct
                 runs[side].append(values)
                 shown = " ".join(f"{name}={value:.6g}" for name, value in values.items())
