@@ -261,6 +261,8 @@ def renyi_entropy(rho, dims, trace_out, q, tol=DEFAULT_TOL) -> float:
     if np.linalg.eigvalsh(rho).min() < -max(tol, 1e-12):
         raise ValueError("rho is not positive semidefinite within tolerance")
     keep = [i for i in range(dims.n) if i not in trace_out]
-    reduced = partial_trace(rho, dims, keep)
-    power = np.trace(np.linalg.matrix_power(reduced, q)).real
-    return log(power) / (1 - q)
+    # log Tr(rho_A^q) from the spectrum scaled by its largest eigenvalue,
+    # which stays finite where Tr(rho_A^q) itself underflows to 0.0
+    lam = np.linalg.eigvalsh(partial_trace(rho, dims, keep))
+    top = lam[-1]
+    return (q * log(top) + log(np.sum((lam[lam > 0] / top) ** q))) / (1 - q)

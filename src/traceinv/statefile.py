@@ -19,17 +19,19 @@ it holds, an ``OperatorTuple`` or a pure state's amplitude vector, and
 ``load_state(path, kind)`` rejects a file of the other kind.
 
 Loading checks the document's structure, then decodes each matrix, or the
-amplitude list, with one routine: a pass over the entries that checks each
-is a pair of JSON numbers, then one numpy conversion of all of them, with
-the same values bit for bit as ``complex(re, im)`` per entry.  Malformed
-input raises ValueError naming the first offending entry; so do an int too
-large for a float, a non-finite value and JSON nested too deeply for the
-parser.
+amplitude list, with one routine: one loop over the entries in reading
+order that checks each is a pair of finite JSON numbers, then one numpy
+conversion of all of them, with the same values bit for bit as
+``complex(re, im)`` per entry.  Malformed input raises ValueError naming
+the first offending entry, whether it is not a number pair, holds an int
+too large for a float or holds a non-finite value; so does JSON nested too
+deeply for the parser.
 """
 
 from __future__ import annotations
 
 import json
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -77,42 +79,33 @@ def state_bytes(state: OperatorTuple | np.ndarray) -> bytes:
 def _as_complex(rows, what) -> np.ndarray:
     """Decode a list of rows of [re, im] pairs into a complex array.
 
-    Every row must already be a list.  One pass checks each entry's
-    structure and exact JSON types (``json.loads`` makes only exact lists,
-    ints and floats, so an exact type test also rejects bools); a single
-    numpy conversion then decodes all entries, bit-identical to
-    ``complex(re, im)`` per entry.  An error names the first offending
-    entry, an int too large for a float and a NaN or infinity included.
+    Every row must already be a list.  One loop reads the entries in order
+    and checks each one's structure and exact JSON types (``json.loads``
+    makes only exact lists, ints and floats, so an exact type test also
+    rejects bools), then that both its numbers are finite as floats, so an
+    error names the first offending entry, an int too large for a float
+    included.  A single numpy conversion then decodes all entries,
+    bit-identical to ``complex(re, im)`` per entry.
     """
-    bad = next(
-        (
-            (r, c)
-            for r, row in enumerate(rows)
-            for c, pair in enumerate(row)
-            if type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) not in _NUMBER
-            or type(pair[1]) not in _NUMBER
-        ),
-        None,
-    )
-    head = rows
-    if bad is not None:
-        # an int too large for a float before it is the first offence then
-        r, c = bad
-        head = [pair for row in rows[:r] for pair in row] + rows[r][:c]
-    try:
-        values = np.array(head, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{what}: entry too large for a float") from None
-    finite = np.isfinite(values)
-    if not finite.all():
-        pair = values.reshape(-1, 2)[~finite.reshape(-1, 2).all(axis=1)][0]
-        raise ValueError(f"{what}: expected finite numbers, got {pair.tolist()!r}")
-    if bad is not None:
-        pair = rows[r][c]
-        raise ValueError(f"{what}: expected a [re, im] number pair, got {pair!r}")
-    return values.view(complex).reshape(len(rows), -1)
+    for row in rows:
+        for pair in row:
+            if (
+                type(pair) is not list
+                or len(pair) != 2
+                or type(pair[0]) not in _NUMBER
+                or type(pair[1]) not in _NUMBER
+            ):
+                raise ValueError(f"{what}: expected a [re, im] number pair, got {pair!r}")
+            re, im = pair
+            try:
+                # both sides run, so a pair holding an int too large for a
+                # float reports that, whatever else it holds
+                finite = isfinite(re) & isfinite(im)
+            except OverflowError:
+                raise ValueError(f"{what}: entry too large for a float") from None
+            if not finite:
+                raise ValueError(f"{what}: expected finite numbers, got {[float(re), float(im)]!r}")
+    return np.array(rows, dtype=float).view(complex).reshape(len(rows), -1)
 
 
 def loads_state(raw: bytes | str) -> OperatorTuple | np.ndarray:

@@ -651,9 +651,11 @@ class TestRenyi:
     def test_bell(self):
         assert abs(renyi_entropy(bell_density(), Dims((2, 2)), {0}, 2) - np.log(2)) < 1e-10
 
-    def test_maximally_mixed_q3(self):
+    # at q = 2000, Tr rho_A^q = 2**-1999 underflows to 0.0 as a float
+    @pytest.mark.parametrize("q", [3, 2000])
+    def test_maximally_mixed_q3(self, q):
         rho = np.eye(4, dtype=complex) / 4
-        assert abs(renyi_entropy(rho, Dims((2, 2)), {0}, 3) - np.log(2)) < 1e-10
+        assert abs(renyi_entropy(rho, Dims((2, 2)), {0}, q) - np.log(2)) < 1e-10
 
     def test_product_state_zero(self):
         rho = kron([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]).astype(complex)

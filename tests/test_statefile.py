@@ -270,16 +270,27 @@ class TestDecoding:
 
     @pytest.mark.parametrize("before", [True, False])
     def test_too_large_int_against_malformed_entry(self, before):
-        # whichever comes first is reported, as with a per-entry decode
-        big, bad = f"[0, {10**400}]", "[1]"
+        # whichever comes first is reported, as with a per-entry decode; the
+        # offender is a malformed entry or a non-finite pair
+        big = f"[0, {10**400}]"
+        overflow = "entry too large for a float$"
+        for bad, named in [("[1]", r"got \[1\]$"), ("[NaN, 0]", r"got \[nan, 0\.0\]$")]:
+            texts = pair_texts([(0.5, 0)] * 4)
+            texts[1], texts[2] = (big, bad) if before else (bad, big)
+            expect = overflow if before else named
+            with pytest.raises(ValueError, match=expect):
+                loads_state(pure_state_text(texts))
+            # in a matrix, the two entries sit on different rows
+            mats = [[texts[0:2], texts[2:4]]]
+            with pytest.raises(ValueError, match=expect):
+                loads_state(operator_tuple_text(mats, [2]))
+        # one pair holding both reports the int too large for a float
         texts = pair_texts([(0.5, 0)] * 4)
-        texts[1], texts[2] = (big, bad) if before else (bad, big)
-        expect = "entry too large for a float" if before else "got \\[1\\]$"
-        with pytest.raises(ValueError, match=expect):
+        texts[1 if before else 2] = f"[NaN, {10**400}]"
+        with pytest.raises(ValueError, match=overflow):
             loads_state(pure_state_text(texts))
-        # in a matrix, the two entries sit on different rows
         mats = [[texts[0:2], texts[2:4]]]
-        with pytest.raises(ValueError, match=expect):
+        with pytest.raises(ValueError, match=overflow):
             loads_state(operator_tuple_text(mats, [2]))
 
     def test_too_large_int_in_each_kind(self):

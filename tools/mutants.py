@@ -153,8 +153,8 @@ MUTANTS = [
         "    if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:\n        return None\n",
         "",
     ),
-    # the state files: a file of the wrong kind let through, or each
-    # [re, im] pair written the wrong way round
+    # the state files: a file of the wrong kind let through, each [re, im]
+    # pair written the wrong way round, or a non-finite entry decoded
     (
         "load_kind_unchecked",
         "statefile.py",
@@ -166,6 +166,12 @@ MUTANTS = [
         "statefile.py",
         "a.view(float).reshape(*a.shape, 2).tolist()",
         "a.view(float).reshape(*a.shape, 2)[..., ::-1].tolist()",
+    ),
+    (
+        "decode_finite_unchecked",
+        "statefile.py",
+        "if not finite:",
+        "if False:",
     ),
     # the size envelopes: each lets a request past its limit through, or
     # maps it to the wrong exit code
