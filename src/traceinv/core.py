@@ -230,9 +230,12 @@ def random_local_invertible(dims, seed=None, max_cond=DEFAULT_MAX_COND) -> list[
     """Sample entrywise-Gaussian invertible local factors.
 
     Draws are rejected until the condition number is below ``max_cond``, so
-    downstream invariance checks are not swamped by ill-conditioning.
+    downstream invariance checks are not swamped by ill-conditioning.  No
+    condition number is below 1, so ``max_cond`` must be a number > 1.
     """
     dims = as_dims(dims)
+    if not max_cond > 1:
+        raise ValueError(f"max_cond must be a number > 1, got {max_cond!r}")
     rng = _rng(seed)
     out = []
     for d in dims.sizes:

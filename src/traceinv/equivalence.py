@@ -108,7 +108,7 @@ def _program(m, ell, sizes):
     if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:
         return None
     caps = generator_girth_cap(sizes)
-    return _compile(_generate(m, ell, caps, connected_only=True, canonical=True), sizes)
+    return _compile(_generate(m, ell, caps, connected_only=True, canonical=True), sizes, m)
 
 
 def _invariants(tuples, max_degree):

@@ -24,17 +24,18 @@ einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step, each
 operand read through a transpose and reshape), and an LRU cache of 2**14
 networks keeps the programs.  The cache stores no call that raised, so
 nothing outside the envelopes is planned or cached, and a hit skips only
-checks its key has already passed.  A program is in register form and a pure function of its
-operands: the boxes are its first registers, each its label's matrix, and
-each step writes one more, holding what the step computed (a ``matmul`` its
-raw product), which each reader views in the layout it needs.  Every
-operand carries a leading batch axis, so one run evaluates a monomial on a
-stack of T tuples at once.  A box with a fixed point is traced by an einsum
-step of its own.  ``_compile`` merges the programs of many monomials into
-one, in which each label's matrix and each distinct step (same step, args
-and input registers) appears once, so an intermediate that several
-monomials share is computed once, whatever layout each reads it in; each
-intermediate is dropped after the last instruction that reads it.
+checks its key has already passed.  A program is in register form and a
+pure function of its operands, which are its first registers (a plan's are
+its boxes); each step writes one more, holding what the step computed (a
+``matmul`` its raw product), which each reader views in the layout it
+needs.  Every operand carries a leading batch axis, so one run evaluates a
+monomial on a stack of T tuples at once.  A box with a fixed point is
+traced by an einsum step of its own.  ``_compile`` merges the programs of
+many monomials into one whose operands are the labels' matrices, in which
+each distinct step (same step, args and input registers) appears once, so
+an intermediate that several monomials share is computed once, whatever
+layout each reads it in; each intermediate is dropped after the last
+instruction that reads it.
 ``_execute`` is the one runner: ``equivalence`` runs one compiled program
 per degree of a walk, with both tuples of a comparison stacked, and
 ``eval_contract`` a monomial's own program with T = 1.  A shared step is the
@@ -136,7 +137,9 @@ def _plan(perms, sizes):
     product, and the other steps their indices in numpy's order, by
     (dimension, subscript).  Each step reads an operand through one view from
     the layout that operand is stored in (``_prep``), with a leading batch
-    axis before the axes of ``_box_shape``; the last step yields the scalar.
+    axis before a box's axes, ``shape``: its row indices, then its column
+    indices, over the ``rows`` of dimension above 1; the last step yields
+    the scalar.
     A box that a ``matmul`` or ``multiply`` step would trace (a fixed point
     of a row) is traced by an einsum step of its own right before it, whose
     sublists are renamed in order of first appearance (``_renamed``).
@@ -147,7 +150,7 @@ def _plan(perms, sizes):
     D = prod(sizes)
     check_size("contraction engine boxes", ell, MAX_BOXES)
     check_size("contraction engine total dimension", D, CONTRACT_MAX_DIM)
-    shape = _box_shape(sizes)
+    shape = tuple(sizes[i] for i in rows) * 2
     inv = [invert_perm(perms[i]) for i in rows]
     subs = [
         tuple(k * ell + inv[k][j] for k in range(n)) + tuple(k * ell + j for k in range(n))
@@ -177,12 +180,6 @@ def _plan(perms, sizes):
         live.append((ell + len(steps), lay))
         steps.append((run, args, inputs, inputs))
     return tuple(steps)
-
-
-def _box_shape(sizes):
-    """A box's axes: its row indices, then its column indices, over the
-    subsystems of dimension above 1."""
-    return tuple(d for d in sizes if d > 1) * 2
 
 
 def _renamed(subscripts):
@@ -271,43 +268,39 @@ def _einsum_step(args, *operands):
     return np.einsum(*[x for pair in zip(operands, subscripts) for x in pair], subscripts[-1])
 
 
-def _compile(mons, sizes):
-    """One program for the monomials ``mons`` on ``sizes``, which computes
-    each shared intermediate once.
+def _compile(mons, sizes, m):
+    """One program for the monomials ``mons`` on ``sizes`` and m labels,
+    which computes each shared intermediate once.
 
     The plans of the monomials are merged into one register program, a tuple
-    of segments (mon, loads, code, out), one per monomial in order.  Each
-    label's matrix is one register, loaded where a monomial first uses it;
-    each distinct step is one instruction (run, args, inputs, frees), and
-    two steps are the same when they have the same run, args and input
-    registers, so boxes of one label that trace alike are traced once.
-    ``out`` is the register of the monomial's last step.  ``frees`` names
-    the registers that no later instruction or ``out`` reads, so the runner
-    drops each intermediate after its last reader and only those a later
-    monomial reads stay alive.  Values are those of each monomial's own
-    plan: the same steps run on the same operands.
+    of segments (mon, code, out), one per monomial in order.  Its operands,
+    the labels' matrices, are registers 0 to m - 1, and box j of a monomial
+    reads register ``mon.labels[j]``.  Each distinct step is one instruction
+    (run, args, inputs, frees), the registers from m on, and two steps are
+    the same when they have the same run, args and input registers, so
+    boxes of one label that trace alike are traced once.  ``out`` is the
+    register of the monomial's last step.  ``frees`` names the registers
+    that no later instruction or ``out`` reads, so the runner drops each
+    after its last reader and only the intermediates a later monomial reads
+    stay alive.  Values are those of each monomial's own plan: the same
+    steps run on the same operands.
     """
-    registers = {}  # label or (run, args, inputs) -> register
+    registers = {}  # (run, args, inputs) -> register
     shared = {}  # one copy of equal args, which the plans hold apart
     segments = []
     for mon in mons:
-        local, loads, code = [], [], []
-        # setdefault hashes each key once: it returns ``new`` for a new key
-        for label in mon.labels:
-            new = len(registers)
-            local.append(registers.setdefault(label, new))
-            if local[-1] == new:
-                loads.append(label)
+        local, code = list(mon.labels), []
         for run, args, inputs, _ in _plan(mon.perms, sizes):
             inputs = tuple(map(local.__getitem__, inputs))
-            new = len(registers)
+            # setdefault hashes each key once: it returns ``new`` for a new key
+            new = m + len(registers)
             local.append(registers.setdefault((run, args, inputs), new))
             if local[-1] == new:
                 code.append((run, shared.setdefault(args, args), inputs))
-        segments.append((mon, tuple(loads), code, local[-1]))
+        segments.append((mon, code, local[-1]))
     # walking back from the end, a register not yet read is read last here
     read = set()
-    for _, _, code, out in reversed(segments):
+    for _, code, out in reversed(segments):
         read.add(out)
         for k in reversed(range(len(code))):
             run, args, inputs = code[k]
@@ -315,22 +308,21 @@ def _compile(mons, sizes):
             # a cached entry keeps one tuple fewer when all inputs die here
             code[k] = (run, args, inputs, inputs if len(dead) == len(inputs) else tuple(dead))
             read.update(inputs)
-    return tuple((mon, loads, tuple(code), out) for mon, loads, code, out in segments)
+    return tuple((mon, tuple(code), out) for mon, code, out in segments)
 
 
-def _execute(program, matrices):
-    """Run a program of ``_compile``'s form, yielding ``(mon, values)`` on T
-    tuples at once as soon as each monomial's last step has run, each value
-    checked by ``_finite``.
+def _execute(program, operands):
+    """Run a program of ``_compile``'s form on its ``operands``, yielding
+    ``(mon, values)`` on T tuples at once as soon as each monomial's last
+    step has run, each value checked by ``_finite``.
 
-    ``matrices[label]`` is a (D, D) matrix (T = 1) or a (T, D, D) stack.
-    Each instruction drops its ``frees`` once it has run, so at most the
-    operands of the current monomial and the intermediates a later one reads
-    are alive at a time.
+    Each operand is a (D, D) matrix (T = 1) or a (T, D, D) stack.  Each
+    instruction drops its ``frees`` once it has run, so at most the
+    operands and the intermediates a later monomial reads are alive at a
+    time.
     """
-    registers = []
-    for mon, loads, code, out in program:
-        registers.extend(matrices[label] for label in loads)
+    registers = list(operands)
+    for mon, code, out in program:
         for run, args, inputs, frees in code:
             registers.append(run(args, *[registers[i] for i in inputs]))
             for i in frees:
@@ -340,8 +332,8 @@ def _execute(program, matrices):
 
 def _run(mon: TraceMonomial, sizes, matrices) -> tuple[complex, ...]:
     """The values of ``mon`` on T tuples at once: its plan is a program of
-    one segment, with a register per box, run by ``_execute``."""
-    [(_, values)] = _execute(((mon, mon.labels, _plan(mon.perms, sizes), -1),), matrices)
+    one segment, run by ``_execute`` with the monomial's boxes as operands."""
+    [(_, values)] = _execute(((mon, _plan(mon.perms, sizes), -1),), [matrices[x] for x in mon.labels])
     return values
 
 

@@ -447,34 +447,23 @@ def enumerate_monomials(
     an optional per-row cap on the maximum cycle length, one entry per row;
     ``connected_only`` keeps only monomials whose contraction network
     is connected (the rest are products of smaller ones).  Output is sorted by degree, then by
-    ``(labels, perms)``, so it is deterministic.  ``_iter_monomials`` yields
-    the same listing lazily.
+    ``(labels, perms)``, so it is deterministic.
 
     n, m, max_degree and each ``girth_cap`` entry are counts under
     ``errors.check_count``: integers >= 1, where a float raises TypeError.
     max_degree is at most ``MAX_BOXES``, and the budget bounds the raw
-    (P, sigma) count, sum over ell of (ell!)^n * m^ell, for both listings.
-    """
-    return list(_iter_monomials(n, m, max_degree, girth_cap, connected_only, canonical))
-
-
-def _iter_monomials(n, m, max_degree, girth_cap=None, connected_only=False, canonical=True):
-    """A generator over the listing of ``enumerate_monomials``, taking the
-    same arguments.
-
-    Every argument, ``MAX_BOXES`` (on max_degree) and the budget are checked
-    here, at the call (``_check_listing``); the monomials are generated as
-    they are read, so a caller that stops early pays only for the monomials
-    it read.
+    (P, sigma) count, sum over ell of (ell!)^f * m^ell, for both listings,
+    where f counts the rows not capped at 1: a row capped at girth 1 holds
+    only the identity.
     """
     m, max_degree, caps = _check_listing(n, m, max_degree, girth_cap)
-    return itertools.chain.from_iterable(
+    return list(itertools.chain.from_iterable(
         _generate(m, ell, caps, connected_only, canonical) for ell in range(1, max_degree + 1)
-    )
+    ))
 
 
 def _check_listing(n, m, max_degree, girth_cap):
-    """``(m, max_degree, caps)`` for the arguments of ``_iter_monomials``,
+    """``(m, max_degree, caps)`` for the arguments of ``enumerate_monomials``,
     each checked, with one cap (or None) per row in ``caps``."""
     n, m = check_count(n, "n"), check_count(m, "m")
     max_degree = check_count(max_degree, "max_degree")
@@ -485,18 +474,20 @@ def _check_listing(n, m, max_degree, girth_cap):
             raise ValueError(f"girth_cap must have one integer >= 1 per row, got {girth_cap}")
         girth_cap = tuple(check_count(c, "girth_cap entry") for c in girth_cap)
 
-    # (ell!)^n >= 2^n for ell >= 2, so clipping n at the budget's bit length
-    # and m one past the budget keeps whether the count exceeds the budget;
-    # the clipped sum is a lower bound on the count that stays small
-    cn, cm = min(n, ENUM_BUDGET.bit_length()), min(m, ENUM_BUDGET + 1)
+    # a row capped at 1 holds only the identity; over the other ``free`` rows
+    # (ell!)^free >= 2^free for ell >= 2, so clipping free at the budget's bit
+    # length and m one past the budget keeps whether the count exceeds the
+    # budget; the clipped sum is a lower bound on the count that stays small
+    free = n if girth_cap is None else sum(c != 1 for c in girth_cap)
+    cn, cm = min(free, ENUM_BUDGET.bit_length()), min(m, ENUM_BUDGET + 1)
     work = sum(factorial(ell) ** cn * cm**ell for ell in range(1, max_degree + 1))
     what = "enumeration candidates (reduce max_degree, n or m)"
-    check_size(what if (cn, cm) == (n, m) else "lower bound on " + what, work, ENUM_BUDGET)
+    check_size(what if (cn, cm) == (free, m) else "lower bound on " + what, work, ENUM_BUDGET)
     return m, max_degree, girth_cap or (None,) * n
 
 
 def _generate(m, ell, caps, connected_only, canonical):
-    """The degree-``ell`` part of the listing of ``_iter_monomials``, for
+    """The degree-``ell`` part of the listing of ``enumerate_monomials``, for
     checked arguments.
 
     The canonical listing is generated in order, without a dedup set over

@@ -313,6 +313,13 @@ class TestEnumerate:
     def test_budget_exit_code(self, capsys):
         assert main(["enumerate", "-n", "4", "-m", "3", "--max-degree", "6"]) == 3
 
+    def test_rows_capped_at_one_are_not_counted(self, capsys):
+        # three rows hold only the identity, so this lists what one row
+        # capped at 3 lists, within the budget
+        code = main(["enumerate", "-n", "4", "-m", "1", "--max-degree", "6", "--girth-cap", "1,1,1,3"])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 22
+
     def test_single_row_degree_seven(self, capsys):
         assert main(["enumerate", "-n", "1", "-m", "2", "--max-degree", "7"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 646

@@ -299,6 +299,12 @@ class TestRandomLocalInvertible:
         b = random_local_invertible(Dims((4,)), seed=16)
         assert np.array_equal(a[0], b[0])
 
+    # no condition number is below 1, so the rejection loop would never end
+    @pytest.mark.parametrize("max_cond", [1.0, 0.5, float("nan")])
+    def test_unreachable_max_cond(self, max_cond):
+        with pytest.raises(ValueError, match="max_cond must be a number > 1"):
+            random_local_invertible(Dims((2,)), seed=0, max_cond=max_cond)
+
 
 class TestRandomDensity:
     def test_density_properties(self):

@@ -143,6 +143,16 @@ class TestFingerprint:
         mons = [mon for mon, _ in fingerprint(ops, max_degree=4).entries]
         assert mons == enumerate_monomials(1, 1, 4, girth_cap=(3,), connected_only=True)
 
+    def test_trivial_subsystems_cost_nothing(self):
+        # a subsystem of dimension 1 has girth cap 1, so its row holds only
+        # the identity: the walk on (1,1,1,2) lists 3 monomials, as on (2,),
+        # and the enumeration budget counts no candidate of those rows
+        rho = random_density(Dims((2,)), seed=53)
+        padded = fingerprint(OperatorTuple(Dims((1, 1, 1, 2)), (rho,)), max_degree=5)
+        plain = fingerprint(OperatorTuple(Dims((2,)), (rho,)), max_degree=5)
+        assert len(padded.entries) == 3
+        assert list(map(bits, padded.values)) == list(map(bits, plain.values))
+
 
 class TestDecide:
     def test_classic_separated_pair(self):
@@ -411,7 +421,7 @@ class TestBatchedInvariants:
         list(_invariants(tuples, max_degree))
         instructions = [
             run for ell in range(1, max_degree + 1)
-            for _, _, code, _ in _program(m, ell, dims.sizes) for run, *_ in code
+            for _, code, _ in _program(m, ell, dims.sizes) for run, *_ in code
         ]
         assert len(calls) == instructions.count(_einsum_step)
         assert len(calls) < traced_boxes
@@ -572,9 +582,9 @@ class TestProgram:
         degree_1, degree_2 = _program(1, 1, dims.sizes), _program(1, 2, dims.sizes)
         mons = [mon for mon, *_ in degree_2]
         assert mons.index(verdict.witness) == 1 and len(mons) == 3
-        ran = sum(len(code) for _, _, code, _ in degree_1 + degree_2[:2])
+        ran = sum(len(code) for _, code, _ in degree_1 + degree_2[:2])
         assert len(step_calls) == ran
-        assert ran < sum(len(code) for _, _, code, _ in degree_1 + degree_2)
+        assert ran < sum(len(code) for _, code, _ in degree_1 + degree_2)
 
     @pytest.mark.parametrize("sizes, m, max_degree", BENCH_WALKS)
     def test_each_register_is_dropped_after_its_last_read(self, sizes, m, max_degree):
@@ -583,7 +593,7 @@ class TestProgram:
         # no other, so only what a later monomial reads stays alive
         for ell in range(1, max_degree + 1):
             program = _program(m, ell, sizes)
-            code = [ins for _, _, segment, _ in program for ins in segment]
+            code = [ins for _, segment, _ in program for ins in segment]
             last = {r: k for k, (*_, inputs, _) in enumerate(code) for r in inputs}
             dropped = [(r, k) for k, (*_, frees) in enumerate(code) for r in frees]
             outs = {out for *_, out in program}

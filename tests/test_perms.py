@@ -27,15 +27,13 @@ from traceinv import (
     perm_from_cycles,
 )
 from traceinv.perms import (
-    _iter_monomials,
+    _check_listing,
     canonical_count,
     compose,
     identity_perm,
     invert_perm,
     parse_int,
 )
-
-from helpers import count_connectivity_tests
 
 
 def perms_of(size):
@@ -309,25 +307,8 @@ class TestEnumerate:
 
 
 class TestIterMonomials:
-    @pytest.mark.parametrize("args, kwargs", [
-        ((2, 2, 3), {}),
-        ((2, 2, 3), {"canonical": False}),
-        ((3, 1, 3), {"girth_cap": (2, 1, 3)}),
-        ((2, 1, 4), {"connected_only": True}),
-        ((2, 2, 4), {"girth_cap": (3, 3), "connected_only": True}),
-    ])
-    def test_yields_the_listing(self, args, kwargs):
-        assert list(_iter_monomials(*args, **kwargs)) == enumerate_monomials(*args, **kwargs)
-
-    def test_prefix_needs_no_full_build(self, monkeypatch):
-        calls = count_connectivity_tests(monkeypatch)
-        full = enumerate_monomials(2, 1, 6, connected_only=True)
-        built = len(calls)
-        calls.clear()
-        assert list(itertools.islice(_iter_monomials(2, 1, 6, connected_only=True), 3)) == full[:3]
-        assert len(calls) < built // 100
-
-    # each raises at the call, before the generator is first read
+    # the listing's checks, which ``_check_listing`` owns and
+    # ``enumerate_monomials`` runs before it builds anything
     @pytest.mark.parametrize("args, kwargs, error", [
         ((0, 1, 2), {}, ValueError),
         ((2, 1, 0), {}, ValueError),
@@ -339,10 +320,12 @@ class TestIterMonomials:
         ((2, 1, "3"), {}, TypeError),
         ((1, 1, 9), {}, UnsupportedSizeError),   # MAX_BOXES
         ((4, 3, 6), {}, UnsupportedSizeError),   # ENUM_BUDGET
+        # caps above 1 leave every row's ell! candidates in the count
+        ((4, 3, 6), {"girth_cap": (3, 3, 3, 3)}, UnsupportedSizeError),
     ])
     def test_checks_at_the_call(self, args, kwargs, error):
         with pytest.raises(error):
-            _iter_monomials(*args, **kwargs)
+            _check_listing(*args, kwargs.get("girth_cap"))
 
     # the budget's edge in n, where 1 + 2^n raw candidates meet degree 2, and
     # in m, where m meet degree 1; n and m are clipped near the budget
@@ -357,19 +340,19 @@ class TestIterMonomials:
     def test_budget_edge(self, args, raises):
         if raises:
             with pytest.raises(UnsupportedSizeError, match="enumeration candidates"):
-                _iter_monomials(*args)
+                _check_listing(*args, None)
         else:
-            _iter_monomials(*args)
+            _check_listing(*args, None)
 
     @pytest.mark.parametrize("n, m", [(10**7, 1), (1, 10**9), (10**7, 10**9)])
     def test_huge_counts_raise_without_the_exact_sum(self, n, m):
         # the exact (ell!)^n * m^ell would take minutes to build and could not
         # be printed; the message names what it did compute
         with pytest.raises(UnsupportedSizeError, match="^lower bound on enumeration candidates"):
-            _iter_monomials(n, m, 6)
+            _check_listing(n, m, 6, None)
 
     def test_numpy_integer_counts(self):
-        assert list(_iter_monomials(np.int64(2), np.int8(1), np.int32(3))) == enumerate_monomials(2, 1, 3)
+        assert enumerate_monomials(np.int64(2), np.int8(1), np.int32(3)) == enumerate_monomials(2, 1, 3)
 
 
 def _oracle_max_cycle(p):

@@ -290,6 +290,11 @@ class TestRandomSl2:
         with pytest.raises(ValueError):
             random_sl2_tuple(0)
 
+    @pytest.mark.parametrize("max_cond", [1.0, 0.5, float("nan")])
+    def test_unreachable_max_cond(self, max_cond):
+        with pytest.raises(ValueError, match="max_cond must be a number > 1"):
+            random_sl2_tuple(1, seed=0, max_cond=max_cond)
+
 
 class TestSloccEvalOutput:
     """CLI text is that of the defining formula, signed zeros included."""

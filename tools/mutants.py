@@ -126,8 +126,8 @@ MUTANTS = [
     (
         "box_key_shared",
         "evaluate.py",
-        "registers.setdefault(label, new)",
-        "registers.setdefault(None, new)",
+        "local, code = list(mon.labels), []",
+        "local, code = [0] * len(mon.labels), []",
     ),
     (
         "program_key_drops_args",
@@ -186,6 +186,12 @@ MUTANTS = [
         "perms.py",
         "ENUM_BUDGET.bit_length()",
         "ENUM_BUDGET.bit_length() - 1",
+    ),
+    (
+        "budget_frees_capped_rows",
+        "perms.py",
+        "sum(c != 1 for c in girth_cap)",
+        "sum(c is None for c in girth_cap)",
     ),
     (
         "walk_skips_dim_check",

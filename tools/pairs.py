@@ -9,8 +9,9 @@ first in even pairs and the change first in odd ones, at seed 1 for the
 ``PYTHONDONTWRITEBYTECODE=1``.  Each run's line of end-to-end metrics is
 printed as it ends.  Then, for each workload and each
 end-to-end metric of the parent's ``BENCHMARK.json``, one line gives the
-median and quartiles of each side, the ratio of the medians and the pairs
-the change won.  A metric is "unresolved" when the parent's spread (its
+median and quartiles of each side, the ratio of the medians, the pairs
+the change won and the pairs the side that ran first won, which shows an
+order effect.  A metric is "unresolved" when the parent's spread (its
 interquartile range over its median) exceeds the metric's bound: a change
 of that size cannot be told from noise.
 
@@ -39,30 +40,35 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(parent, change, metrics):
+def summarize(parent, change, metrics, change_first):
     """One row per metric of the paired runs ``parent[i]``, ``change[i]``
-    (dicts of metric name to value), for the metrics ``metrics`` (entries
-    of ``BENCHMARK.json``'s ``end_to_end``): (name, parent quartiles, change
-    quartiles, ratio of the medians, pairs the change won, unresolved)."""
+    (dicts of metric name to value), the change run first in pair i when
+    ``change_first[i]``, for the metrics ``metrics`` (entries of
+    ``BENCHMARK.json``'s ``end_to_end``): (name, parent quartiles, change
+    quartiles, ratio of the medians, pairs the change won, pairs the side
+    run first won, unresolved)."""
     rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
         qa, qb = quartiles(a), quartiles(b)
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        won = [(y < x) if lower else (y > x) for x, y in zip(a, b)]
+        lost = [(x < y) if lower else (x > y) for x, y in zip(a, b)]
+        first = sum(w if c else l for w, l, c in zip(won, lost, change_first))
         ratio = qb[1] / qa[1] if qa[1] else float("nan")
         spread = (qa[2] - qa[0]) / abs(qa[1]) if qa[1] else float("inf")
-        rows.append((name, qa, qb, ratio, wins, spread > metric["bound"]))
+        rows.append((name, qa, qb, ratio, sum(won), first, spread > metric["bound"]))
     return rows
 
 
 def _format(workload, rows, pairs):
-    for name, qa, qb, ratio, wins, unresolved in rows:
+    for name, qa, qb, ratio, wins, first, unresolved in rows:
         print(
             f"{workload} {name:<12} parent {qa[1]:.6g} [{qa[0]:.6g}, {qa[2]:.6g}]"
             f"  change {qb[1]:.6g} [{qb[0]:.6g}, {qb[2]:.6g}]"
-            f"  ratio {ratio:.3f}  wins {wins}/{pairs}" + ("  unresolved" if unresolved else "")
+            f"  ratio {ratio:.3f}  wins {wins}/{pairs}  first-run wins {first}/{pairs}"
+            + ("  unresolved" if unresolved else "")
         )
 
 
@@ -110,8 +116,10 @@ def main(argv=None):
     all_correct = True
     for workload in workloads:
         runs = {"parent": [], "change": []}
+        change_first = []
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            change_first.append(order[0] == "change")
             for side in order:
                 correct, values = _run(sides[side], workload, bench["run_seconds"])
                 all_correct &= correct
@@ -122,7 +130,8 @@ def main(argv=None):
         complete = [j for j in range(args.pairs) if runs["parent"][j] and runs["change"][j]]
         if complete:
             rows = summarize([runs["parent"][j] for j in complete],
-                             [runs["change"][j] for j in complete], metrics)
+                             [runs["change"][j] for j in complete], metrics,
+                             [change_first[j] for j in complete])
             _format(workload, rows, len(complete))
     if not all_correct:
         print("error: a run was not correct", file=sys.stderr)
