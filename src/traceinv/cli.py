@@ -104,18 +104,22 @@ def _cmd_bounds(args):
     if args.lu:
         if not args.dims:
             raise ValueError("--lu needs --dims")
-        dims = Dims(_ints(args.dims, "--dims"))
-        bound = lu_degree_bound(dims, m=args.m)
+        dims, m = Dims(_ints(args.dims, "--dims")), check_count(args.m, "m")
+        sizes, delta = dims.sizes, sum(d - 1 for d in dims.sizes)
+        # log10 of the bound, 3/8 max(d) m^2 D^4 (2n)^(2 delta)
+        log_bound = (log10(3 / 8 * max(sizes)) + 2 * log10(m) + 4 * sum(map(log10, sizes))
+                     + 2 * delta * log10(2 * dims.n))
     else:
         if args.n is None:
             raise ValueError("--slocc needs -n")
         n, m = check_count(args.n, "n"), check_count(args.m, "m")
-        # log10 of the bound, 3/2 m^2 4^n n^(6n): a bound that is sure to pass
-        # the digit limit (0: none) is not built
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if 0 < limit < log10(1.5) + 2 * log10(m) + n * log10(4 * n**6) - 1:
-            _bound_too_long()
-        bound = slocc_degree_bound(n, m=m)
+        # log10 of the bound, 3/2 m^2 4^n n^(6n)
+        log_bound = log10(1.5) + 2 * log10(m) + n * log10(4 * n**6)
+    # a bound that is sure to pass the digit limit (0: none) is not built
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < log_bound - 1:
+        _bound_too_long()
+    bound = lu_degree_bound(dims, m=m) if args.lu else slocc_degree_bound(n, m=m)
     try:
         text = str(bound)
     except ValueError:  # past the interpreter's int-to-string digit limit

@@ -104,10 +104,11 @@ def _program(m, ell, sizes):
     """The step program (``evaluate._compile``) of the connected canonical
     monomials of degree ell within the girth caps of ``sizes``, or None when
     the degree has more than ``_CACHED_CLASSES`` relabeling classes: the walk
-    then streams it.  Only a miss counts the classes."""
-    if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:
-        return None
+    then streams it.  Only a miss counts the classes, over the rows not capped
+    at girth 1 (at least one), since a d = 1 row holds only the identity."""
     caps = generator_girth_cap(sizes)
+    if canonical_count(max(1, sum(c != 1 for c in caps)), m, ell) > _CACHED_CLASSES:
+        return None
     return _compile(_generate(m, ell, caps, connected_only=True, canonical=True), sizes, m)
 
 

@@ -381,14 +381,21 @@ def _orbit_minima(rows, group):
     is kept when it is the least member of its conjugacy class under the
     group, and the remaining rows are then reduced under the stabilizer of
     row 0 (its centralizer in the group), and so on down the rows.  The
-    minima come out in lex order.
+    minima come out in lex order.  A lone candidate is central, since its
+    list is closed under conjugation, so every relabeling fixes it: each
+    leading run of single-candidate rows (a row capped at girth 1 holds only
+    the identity) is taken as it is, with no group scan and no level.
     """
-    if len(group) == 1 or not rows:
+    k = 0
+    while k < len(rows) and len(rows[k]) == 1:
+        k += 1
+    if len(group) == 1 or k == len(rows):
         yield from itertools.product(*rows)
         return
+    lead = [row[0] for row in rows[:k]]
     seen = set()
-    for r in rows[0]:
-        # rows[0] is visited in lex order, so the first member of each
+    for r in rows[k]:
+        # rows[k] is visited in lex order, so the first member of each
         # conjugacy class met is its minimum
         if r in seen:
             continue
@@ -398,8 +405,8 @@ def _orbit_minima(rows, group):
             seen.add(c)
             if c == r:
                 stabilizer.append((tau, tau_inv))
-        for rest in _orbit_minima(rows[1:], stabilizer):
-            yield (r, *rest)
+        for rest in _orbit_minima(rows[k + 1:], stabilizer):
+            yield (*lead, r, *rest)
 
 
 def _partitions(k, largest):
@@ -418,7 +425,10 @@ def canonical_count(n, m, ell):
 
     By Burnside, the sum over cycle types lambda of ell of
     m^(len lambda) * z_lambda^(n-1), where z_lambda = prod_k k^(a_k) a_k! for
-    a_k parts of size k is the order of a permutation's centralizer.
+    a_k parts of size k is the order of a permutation's centralizer.  A row
+    capped at girth 1 holds only the identity and adds no class, so a caller
+    counts the other rows, and at least one: at n = 0 the formula divides by
+    z_lambda.
     """
     total = 0
     for shape in _partitions(ell, ell):

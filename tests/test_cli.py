@@ -320,6 +320,13 @@ class TestEnumerate:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 22
 
+    def test_many_rows_capped_at_one(self, capsys):
+        # 999 rows hold only the identity: the stabilizer chain gives them no
+        # level, so they cannot pass Python's recursion limit
+        cap = ",".join(["1"] * 999 + ["2"])
+        assert main(["enumerate", "-n", "1000", "-m", "1", "--max-degree", "2", "--girth-cap", cap]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_single_row_degree_seven(self, capsys):
         assert main(["enumerate", "-n", "1", "-m", "2", "--max-degree", "7"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 646
@@ -428,6 +435,23 @@ class TestBounds:
         else:
             assert captured.out == ""
             assert "exceeds the supported limit 4300" in captured.err
+
+    # the bound at d = 10**9 has about 6e8 digits: it exits before the exact
+    # product is built
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-string limit")
+    def test_lu_huge_dims_exits_at_once(self, capsys, monkeypatch):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the bound was built")
+
+        monkeypatch.setattr(cli, "lu_degree_bound", unbuilt)
+        assert main(["bounds", "--lu", "--dims", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the digit count of the bound exceeds the supported limit "
+            f"{sys.get_int_max_str_digits()}\n"
+        )
 
 
 class TestFactorize:

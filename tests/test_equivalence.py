@@ -153,6 +153,15 @@ class TestFingerprint:
         assert len(padded.entries) == 3
         assert list(map(bits, padded.values)) == list(map(bits, plain.values))
 
+    def test_many_trivial_subsystems_take_no_recursion(self):
+        # the stabilizer chain takes rows that hold only the identity as they
+        # are: 1,200 of them would pass Python's recursion limit as levels
+        rho = random_density(Dims((2,)), seed=53)
+        padded = fingerprint(OperatorTuple(Dims((1,) * 1200 + (2,)), (rho,)), max_degree=3)
+        plain = fingerprint(OperatorTuple(Dims((2,)), (rho,)), max_degree=3)
+        assert len(padded.values) == 3
+        assert list(map(bits, padded.values)) == list(map(bits, plain.values))
+
 
 class TestDecide:
     def test_classic_separated_pair(self):
@@ -572,6 +581,16 @@ class TestProgram:
             walk(sizes, m, max_degree)
         assert len(step_calls) == 1443
         assert sum(run.__name__ == "_matmul_step" for run in step_calls) == 1276
+
+    @pytest.mark.parametrize("padded, plain", [((1, 1, 1, 2), (2,)), ((1, 2, 2), (2, 2))],
+                             ids=["1,1,1,2", "1,2,2"])
+    def test_trivial_rows_do_not_count_at_the_gate(self, padded, plain):
+        # a d = 1 subsystem adds a row that holds only the identity, so its
+        # walk compiles every degree that its twin without it compiles
+        for ell in range(1, 7):
+            program = _program(1, ell, padded)
+            assert program is not None
+            assert len(program) == len(_program(1, ell, plain))
 
     def test_separated_walk_runs_no_step_past_its_witness(self, step_calls):
         # the witness is the second of three monomials of degree 2

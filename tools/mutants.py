@@ -150,8 +150,15 @@ MUTANTS = [
     (
         "program_admits_every_degree",
         "equivalence.py",
-        "    if canonical_count(len(sizes), m, ell) > _CACHED_CLASSES:\n        return None\n",
+        "    if canonical_count(max(1, sum(c != 1 for c in caps)), m, ell) > _CACHED_CLASSES:\n"
+        "        return None\n",
         "",
+    ),
+    (
+        "gate_counts_every_row",
+        "equivalence.py",
+        "canonical_count(max(1, sum(c != 1 for c in caps)), m, ell)",
+        "canonical_count(len(sizes), m, ell)",
     ),
     # the state files: a file of the wrong kind let through, each [re, im]
     # pair written the wrong way round, or a non-finite entry decoded
@@ -192,6 +199,12 @@ MUTANTS = [
         "perms.py",
         "sum(c != 1 for c in girth_cap)",
         "sum(c is None for c in girth_cap)",
+    ),
+    (
+        "chain_levels_single_rows",
+        "perms.py",
+        "while k < len(rows) and len(rows[k]) == 1:",
+        "while False:",
     ),
     (
         "walk_skips_dim_check",
