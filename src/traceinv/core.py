@@ -170,8 +170,10 @@ def partial_trace(M, dims, keep) -> np.ndarray:
 def conjugate_local(M, factors, dims, det_tol=1e-12) -> np.ndarray:
     """Conjugate M by a product of local factors: (g_1 (x) ... (x) g_n) M (...)^{-1}.
 
-    Raises ValueError if any factor is singular (|det g_i| <= det_tol) or has
-    the wrong shape for its subsystem.
+    Raises ValueError if any factor is singular or has the wrong shape for
+    its subsystem.  det_tol bounds the reciprocal condition number: g_i is
+    singular unless 1 / cond(g_i) > det_tol, which, unlike det g_i, does not
+    change when g_i is scaled.
     """
     dims = as_dims(dims)
     factors = [np.asarray(g, dtype=complex) for g in factors]
@@ -181,8 +183,8 @@ def conjugate_local(M, factors, dims, det_tol=1e-12) -> np.ndarray:
     for i, (g, d) in enumerate(zip(factors, dims.sizes)):
         if g.shape != (d, d):
             raise ValueError(f"factor {i} has shape {g.shape}, expected ({d}, {d})")
-        if abs(np.linalg.det(g)) <= det_tol:
-            raise ValueError(f"factor {i} is singular (|det| <= {det_tol})")
+        if not 1 / np.linalg.cond(g) > det_tol:
+            raise ValueError(f"factor {i} is singular (1/cond <= {det_tol})")
         invs.append(np.linalg.inv(g))
     G = kron(factors)
     return G @ np.asarray(M, dtype=complex) @ kron(invs)

@@ -223,8 +223,16 @@ class TestConjugateLocal:
         assert abs(np.trace(conjugate_local(M, g, dims)) - np.trace(M)) < 1e-10
 
     def test_singular_factor(self):
-        with pytest.raises(ValueError):
-            conjugate_local(np.eye(4), [np.zeros((2, 2)), np.eye(2)], Dims((2, 2)))
+        for g in (np.zeros((2, 2)), [[1, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="factor 0 is singular"):
+                conjugate_local(np.eye(4), [g, np.eye(2)], Dims((2, 2)))
+
+    def test_scaled_factors_are_not_singular(self):
+        # conjugating by c g is conjugating by g, though det(c g) = c^d det(g)
+        # falls far below any fixed tolerance
+        assert np.array_equal(conjugate_local(np.eye(64), [0.5 * np.eye(64)], (64,)), np.eye(64))
+        M = crandn(np.random.default_rng(13), 64, 64)
+        assert np.allclose(conjugate_local(M, [0.01 * np.eye(8), np.eye(8)], (8, 8)), M)
 
     def test_wrong_factor_shape(self):
         with pytest.raises(ValueError, match=r"factor 1 has shape \(3, 3\), expected \(2, 2\)"):

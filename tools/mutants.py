@@ -218,6 +218,27 @@ MUTANTS = [
         "raise UnsupportedSizeError(",
         "raise ValueError(",
     ),
+    # the package surface: a public name dropped from the table, or numpy
+    # loaded by a bare import
+    (
+        "export_drops_name",
+        "__init__.py",
+        '        "kron",\n',
+        "",
+    ),
+    (
+        "init_loads_numpy",
+        "__init__.py",
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nimport numpy  # noqa: F401\n",
+    ),
+    # a scaled invertible factor rejected as singular
+    (
+        "singular_by_det",
+        "core.py",
+        "if not 1 / np.linalg.cond(g) > det_tol:",
+        "if abs(np.linalg.det(g)) <= det_tol:",
+    ),
 ]
 
 
