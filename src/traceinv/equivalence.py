@@ -41,7 +41,7 @@ from .core import (
     partial_trace,
 )
 from .errors import CONTRACT_MAX_DIM, check_count, check_size
-from .evaluate import _compile, _execute, _run
+from .evaluate import _boxes, _compile, _execute, _run
 from .perms import TraceMonomial, _check_listing, _generate, canonical_count, identity_perm
 
 
@@ -126,7 +126,7 @@ def _invariants(tuples, max_degree):
     dims = tuples[0].dims
     m, max_degree, caps = _check_listing(dims.n, tuples[0].m, max_degree, generator_girth_cap(dims))
     check_size("contraction engine total dimension", dims.total, CONTRACT_MAX_DIM)
-    stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
+    stacks = _boxes([np.stack([t.matrices[k] for t in tuples]) for k in range(m)], dims.sizes)
     return _walk(m, max_degree, caps, dims.sizes, stacks)
 
 

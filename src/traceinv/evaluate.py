@@ -20,22 +20,26 @@ no limit at all (README, "Envelopes").  A network's envelopes (boxes and
 total dimension) and its path depend only on (perms, dims), never on
 labels or matrix values, so ``_plan`` owns that key: it checks the
 envelopes, plans the path, compiles it into a program of the steps numpy's
-einsum would take on it (a ``matmul`` or ``multiply`` per pairwise step, each
-operand read through a transpose and reshape), and an LRU cache of 2**14
-networks keeps the programs.  The cache stores no call that raised, so
-nothing outside the envelopes is planned or cached, and a hit skips only
-checks its key has already passed.  A program is in register form and a
-pure function of its operands, which are its first registers (a plan's are
-its boxes); each step writes one more, holding what the step computed (a
-``matmul`` its raw product), which each reader views in the layout it
-needs.  Every operand carries a leading batch axis, so one run evaluates a
-monomial on a stack of T tuples at once.  A box with a fixed point is
-traced by an einsum step of its own.  ``_compile`` merges the programs of
-many monomials into one whose operands are the labels' matrices, in which
-each distinct step (same step, args and input registers) appears once, so
-an intermediate that several monomials share is computed once, whatever
-layout each reads it in; each intermediate is dropped after the last
-instruction that reads it.
+einsum would take on it, and an LRU cache of 2**14 networks keeps the
+programs.  The cache stores no call that raised, so nothing outside the
+envelopes is planned or cached, and a hit skips only checks its key has
+already passed.  A program is in register form and a pure function of its
+operands, which are its first registers (a plan's are its boxes), each a
+stack of T tuples' matrices in box layout (T, *box), so one run evaluates a
+monomial on T tuples at once.  Each step writes one more register, holding
+what it computed (a ``matmul`` its raw product).  Every step is resolved
+when it is planned: a pairwise step is its numpy kernel (``matmul`` or
+``multiply``) and, per operand, a reader, the one shared function of the
+view (reshape, transpose, reshape, each left out when it would do nothing)
+from the layout the operand is stored in to the one the step needs.  So
+running it is ``kernel(read_a(a), read_b(b))`` and no more.  A box with a
+fixed point is traced by an einsum step of its own, which calls
+``np.einsum`` on its sublists.  ``_compile`` merges the programs of many
+monomials into one whose operands are the labels' matrices, in which each
+distinct step (same kernel, readers, sublists and input registers) appears
+once, so an intermediate that several monomials share is computed once,
+whatever layout each reads it in; each intermediate is dropped after the
+last instruction that reads it.
 ``_execute`` is the one runner: ``equivalence`` runs one compiled program
 per degree of a walk, with both tuples of a comparison stacked, and
 ``eval_contract`` a monomial's own program with T = 1.  A shared step is the
@@ -46,7 +50,7 @@ correctness check of the package.
 
 from __future__ import annotations
 
-import cmath
+from cmath import isfinite
 from functools import lru_cache
 from math import prod
 
@@ -79,7 +83,7 @@ def _finite(value: complex) -> complex:
     overflowed the float range on the way.  That raises UnsupportedSizeError
     rather than returning inf or nan: |inf - inf| > tol is False, so a
     comparison would read two overflowed values as agreeing."""
-    if not cmath.isfinite(value):
+    if not isfinite(value):
         raise UnsupportedSizeError(f"the value {value} overflowed the float range")
     return value
 
@@ -127,19 +131,19 @@ def _plan(perms, sizes):
 
     The path depends only on shapes, so it is planned on zero-stride stand-in
     boxes.  The program replays it as numpy's einsum would, in register
-    form: registers 0 to ell - 1 hold the boxes, and step k is
-    (run, args, inputs, frees), where ``run(args, *operands)`` takes the
-    registers named by ``inputs``, its result is register ell + k, and the
-    registers named by ``frees`` are read by no later step; here each
-    register is read once, so ``frees`` is ``inputs``.  A box register holds
-    its label's matrix as given, (D, D) or a (T, D, D) stack, and a step
-    register what its step computed: a ``matmul`` its (batch, rows, cols)
+    form: registers 0 to ell - 1 hold the boxes, each in box layout (a
+    leading batch axis, then ``shape``: its row indices, then its column
+    indices, over the ``rows`` of dimension above 1), and step k is an
+    instruction (kernel, read_a, a, read_b, b, frees) whose result is
+    register ell + k (see ``_execute``): a pairwise step is
+    ``kernel(read_a(a), read_b(b))``, with ``np.matmul`` or ``np.multiply``
+    as kernel.  ``frees`` names the registers that no later step reads; here
+    each register is read once, so it names the inputs.  A step register
+    holds what its step computed: a ``matmul`` its (batch, rows, cols)
     product, and the other steps their indices in numpy's order, by
-    (dimension, subscript).  Each step reads an operand through one view from
-    the layout that operand is stored in (``_prep``), with a leading batch
-    axis before a box's axes, ``shape``: its row indices, then its column
-    indices, over the ``rows`` of dimension above 1; the last step yields
-    the scalar.
+    (dimension, subscript).  A reader is the shared function of one view
+    (``_read``), from the layout its operand is stored in to the one the
+    step needs; the last step yields the scalar.
     A box that a ``matmul`` or ``multiply`` step would trace (a fixed point
     of a row) is traced by an einsum step of its own right before it, whose
     sublists are renamed in order of first appearance (``_renamed``).
@@ -160,26 +164,34 @@ def _plan(perms, sizes):
     interleaved = [x for s in subs for x in (box, s)]
     path, _ = np.einsum_path(*interleaved, [], optimize=("greedy", D**4))
     dim = {x: d for s in subs for x, d in zip(s, shape)}
-    live = list(enumerate(subs))  # (register, index order it is stored in)
+    # (register, index order it is stored in, its shape after the batch axis)
+    live = [(j, s, shape) for j, s in enumerate(subs)]
     steps = []
     for step in path[1:]:
         positions = sorted(step, reverse=True)
         ins = [subs.pop(p) for p in positions]
-        inputs, lays = zip(*[live.pop(p) for p in positions])
+        operands = [live.pop(p) for p in positions]
         out = tuple(sorted(set().union(*ins) & set().union(*subs), key=lambda x: (dim[x], x)))
         subs.append(out)
-        run, args, lay = _step(ins, lays, out, dim)
-        if run is not _einsum_step:
-            # only a box repeats an index: an einsum step traces it first
-            inputs = list(inputs)
-            for k, (trace, _) in enumerate(args):
-                if trace is not None:
-                    steps.append((_einsum_step, trace, (inputs[k],), (inputs[k],)))
-                    inputs[k] = ell + len(steps) - 1
-            args, inputs = (args[0][1], args[1][1]), tuple(inputs)
-        live.append((ell + len(steps), lay))
-        steps.append((run, args, inputs, inputs))
+        if len(ins) != 2:
+            steps.append(_einsum(operands, out, dim))
+            live.append((ell + len(steps) - 1, out, _dims(out, dim)))
+            continue
+        kernel, wants, lay, stored = _step(*ins, out, dim)
+        reads = []
+        for term, (r, order, have), (want, view) in zip(ins, operands, wants):
+            if len(set(term)) < len(term):
+                # only a box repeats an index: an einsum step traces it first
+                steps.append(_einsum([(r, order, have)], want, dim, _renamed))
+                r, order, have = ell + len(steps) - 1, want, _dims(want, dim)
+            reads += _read(have, order, want, view, dim), r
+        steps.append((kernel, *reads, (reads[1], reads[3])))
+        live.append((ell + len(steps) - 1, lay, stored))
     return tuple(steps)
+
+
+def _dims(indices, dim):
+    return tuple(dim[x] for x in indices)
 
 
 def _renamed(subscripts):
@@ -192,10 +204,12 @@ def _renamed(subscripts):
     )
 
 
-def _step(ins, lays, out, dim):
-    """(run, args, lay) of one contraction step, as numpy 2.4's einsum runs
-    it, on operands with indices ``ins`` stored in the orders ``lays``;
-    ``lay`` is the order its result is stored in.
+def _step(a, b, out, dim):
+    """(kernel, reads, lay, stored) of a pairwise contraction step, as numpy
+    2.4's einsum runs it, on operands with indices ``a`` and ``b``: for each
+    operand, ``reads`` gives the index order it is read in and the shape it
+    is read as; ``lay`` is the order the result is stored in, and
+    ``stored`` its shape after the batch axis.
 
     Two operands with a contracted index meet in one ``matmul``: the left
     operand (the higher position) is laid out as (kept + contracted), the
@@ -204,68 +218,82 @@ def _step(ins, lays, out, dim):
     right kept).  Every subscript names one bond, so it occurs twice in the
     network: no index is both shared and kept, and one that repeats within
     an operand (a trace) is neither.  Two operands with nothing to contract
-    are multiplied with size-1 axes inserted.  Any other step is a plain
-    einsum, which reads each operand in its stored order.
+    are multiplied with size-1 axes inserted.
     """
-    if len(ins) != 2:
-        return _einsum_step, _einsum(lays, out, dim), out
-    a, b = ins
-    con = [x for x in a if x in b and x not in out]
+    con = tuple(x for x in a if x in b and x not in out)
     if not con:
-        return _multiply_step, tuple(
-            _prep(t, lay, [x for x in out if x in t], (-1, *[dim[x] if x in t else 1 for x in out]), dim)
-            for t, lay in zip(ins, lays)
-        ), out
-    a_keep = [x for x in a if x in out]
-    b_keep = [x for x in b if x in out]
+        return np.multiply, [
+            (tuple(x for x in out if x in t), (-1, *[dim[x] if x in t else 1 for x in out]))
+            for t in (a, b)
+        ], out, _dims(out, dim)
+    a_keep = tuple(x for x in a if x in out)
+    b_keep = tuple(x for x in b if x in out)
     con_size = prod(dim[x] for x in con)
-    return _matmul_step, (
-        _prep(a, lays[0], a_keep + con, (-1, prod(dim[x] for x in a_keep), con_size), dim),
-        _prep(b, lays[1], con + b_keep, (-1, con_size, prod(dim[x] for x in b_keep)), dim),
-    ), tuple(a_keep + b_keep)
+    rows, cols = prod(dim[x] for x in a_keep), prod(dim[x] for x in b_keep)
+    return np.matmul, [
+        (a_keep + con, (-1, rows, con_size)),
+        (con + b_keep, (-1, con_size, cols)),
+    ], a_keep + b_keep, (rows, cols)
 
 
-def _einsum(lays, out, dim):
-    """(views, sublists) of an einsum step that reads each operand in the
-    index order ``lays`` it is stored in; the last sublist is the output's."""
-    views = tuple([(None, None, (-1, *[dim[x] for x in lay])) for lay in lays])
-    return views, (*[(..., *lay) for lay in lays], (..., *out))
+def _einsum(operands, out, dim, rename=tuple):
+    """The instruction of an einsum step with the output indices ``out``,
+    which reads each of its ``operands`` (register, index order, stored
+    shape) in the order it is stored in, its sublists passed through
+    ``rename``: (None, read, a, sublist, output sublist, frees) for one
+    operand, and for several (None, None, registers, (read, sublist) pairs,
+    output sublist, frees)."""
+    subscripts = rename([*[(..., *lay) for _, lay, _ in operands], (..., *out)])
+    registers = tuple(r for r, _, _ in operands)
+    reads = [_read(have, lay, lay, (-1, *_dims(lay, dim)), dim) for _, lay, have in operands]
+    if len(operands) == 1:
+        return (None, reads[0], registers[0], *subscripts, registers)
+    return (None, None, registers, tuple(zip(reads, subscripts)), subscripts[-1], registers)
 
 
-def _prep(term, lay, want, shape, dim):
-    """(trace, view) reading an operand with indices ``term``, stored in the
-    order ``lay``, as the indices ``want`` in ``shape``.  A view is
-    (stored, axes, shape): reshape to the stored layout, transpose by
-    ``axes``, then reshape to ``shape``; with ``axes`` None the orders agree
-    and one reshape will do.  A repeated index (a fixed point of a row) is
-    only a box's, stored as ``term``: an einsum step, whose args ``trace``
-    holds, traces it out first, into the order ``want``."""
-    want = tuple(want)
+def _read(have, lay, want, shape, dim):
+    """The reader of an operand with the indices ``lay``, stored in that
+    order as an array of shape (batch, *have), which views it as the indices
+    ``want`` in ``shape``: reshape to the stored index layout, transpose,
+    then reshape to ``shape``.  A reshape to the shape the array already
+    has is left out, as is the transpose when the orders agree."""
     if lay == want:
-        return None, (None, None, shape)
-    if len(set(term)) < len(term):
-        views, subscripts = _einsum([term], want, dim)
-        return (views, _renamed(subscripts)), (None, None, shape)
-    return None, ((-1, *[dim[x] for x in lay]), (0, *[lay.index(x) + 1 for x in want]), shape)
+        return _view(None, None, None if have == shape[1:] else shape)
+    dims = _dims(lay, dim)
+    axes = (0, *[lay.index(x) + 1 for x in want])
+    return _view(None if have == dims else (-1, *dims), axes,
+                 None if _dims(want, dim) == shape[1:] else shape)
 
 
-def _viewed(x, view):
-    stored, axes, shape = view
-    return (x if axes is None else x.reshape(stored).transpose(axes)).reshape(shape)
+def _same(x):
+    return x
 
 
-def _matmul_step(args, a, b):
-    return np.matmul(_viewed(a, args[0]), _viewed(b, args[1]))
+# As many entries as the plan cache: a view that fell out and is made again
+# is a new function, so steps that read through it and through the old one
+# are no longer shared, which costs time, not values.
+@lru_cache(maxsize=2**14)
+def _view(stored, axes, shape):
+    """The one reader function of a view: reshape to ``stored``, transpose
+    by ``axes``, then reshape to ``shape``, each step left out when None.
+    Equal views get the same function, so ``_compile`` shares the steps
+    that read alike."""
+    if axes is None:
+        return _same if shape is None else lambda x: x.reshape(shape)
+    if stored is None:
+        if shape is None:
+            return lambda x: x.transpose(axes)
+        return lambda x: x.transpose(axes).reshape(shape)
+    if shape is None:
+        return lambda x: x.reshape(stored).transpose(axes)
+    return lambda x: x.reshape(stored).transpose(axes).reshape(shape)
 
 
-def _multiply_step(args, a, b):
-    return np.multiply(_viewed(a, args[0]), _viewed(b, args[1]))
-
-
-def _einsum_step(args, *operands):
-    views, subscripts = args
-    operands = map(_viewed, operands, views)
-    return np.einsum(*[x for pair in zip(operands, subscripts) for x in pair], subscripts[-1])
+def _inputs(kernel, read_a, a, read_b, b):
+    """The registers an instruction, without its frees, reads."""
+    if kernel is not None:
+        return a, b
+    return (a,) if read_a is not None else a
 
 
 def _compile(mons, sizes, m):
@@ -274,39 +302,40 @@ def _compile(mons, sizes, m):
 
     The plans of the monomials are merged into one register program, a tuple
     of segments (mon, code, out), one per monomial in order.  Its operands,
-    the labels' matrices, are registers 0 to m - 1, and box j of a monomial
-    reads register ``mon.labels[j]``.  Each distinct step is one instruction
-    (run, args, inputs, frees), the registers from m on, and two steps are
-    the same when they have the same run, args and input registers, so
-    boxes of one label that trace alike are traced once.  ``out`` is the
-    register of the monomial's last step.  ``frees`` names the registers
-    that no later instruction or ``out`` reads, so the runner drops each
-    after its last reader and only the intermediates a later monomial reads
-    stay alive.  Values are those of each monomial's own plan: the same
-    steps run on the same operands.
+    the labels' matrices in box layout, are registers 0 to m - 1, and box j
+    of a monomial reads register ``mon.labels[j]``.  Each distinct step is
+    one instruction, the registers from m on, and two steps are the same
+    when they have the same kernel, readers, input registers and sublists,
+    so boxes of one label that trace alike are traced once.  ``out`` is the
+    register of the monomial's last step.  Each instruction's ``frees``
+    names the registers that no later instruction or ``out`` reads, so the
+    runner drops each after its last reader and only the intermediates a
+    later monomial reads stay alive.  Values are those of each monomial's
+    own plan: the same steps run on the same operands.
     """
-    registers = {}  # (run, args, inputs) -> register
-    shared = {}  # one copy of equal args, which the plans hold apart
+    registers = {}  # instruction without its frees -> register
     segments = []
     for mon in mons:
         local, code = list(mon.labels), []
-        for run, args, inputs, _ in _plan(mon.perms, sizes):
-            inputs = tuple(map(local.__getitem__, inputs))
+        for kernel, read_a, a, read_b, b, _ in _plan(mon.perms, sizes):
+            if kernel is not None:
+                a, b = local[a], local[b]
+            else:
+                a = local[a] if read_a is not None else tuple(map(local.__getitem__, a))
             # setdefault hashes each key once: it returns ``new`` for a new key
             new = m + len(registers)
-            local.append(registers.setdefault((run, args, inputs), new))
+            local.append(registers.setdefault((kernel, read_a, a, read_b, b), new))
             if local[-1] == new:
-                code.append((run, shared.setdefault(args, args), inputs))
+                code.append((kernel, read_a, a, read_b, b))
         segments.append((mon, code, local[-1]))
     # walking back from the end, a register not yet read is read last here
     read = set()
     for _, code, out in reversed(segments):
         read.add(out)
         for k in reversed(range(len(code))):
-            run, args, inputs = code[k]
+            inputs = _inputs(*code[k])
             dead = set(inputs) - read
-            # a cached entry keeps one tuple fewer when all inputs die here
-            code[k] = (run, args, inputs, inputs if len(dead) == len(inputs) else tuple(dead))
+            code[k] = (*code[k], tuple(dead))
             read.update(inputs)
     return tuple((mon, tuple(code), out) for mon, code, out in segments)
 
@@ -314,26 +343,52 @@ def _compile(mons, sizes, m):
 def _execute(program, operands):
     """Run a program of ``_compile``'s form on its ``operands``, yielding
     ``(mon, values)`` on T tuples at once as soon as each monomial's last
-    step has run, each value checked by ``_finite``.
+    step has run.
 
-    Each operand is a (D, D) matrix (T = 1) or a (T, D, D) stack.  Each
-    instruction drops its ``frees`` once it has run, so at most the
+    Each operand is a (T, *box) stack in box layout (``_boxes``).  An
+    instruction (kernel, read_a, a, read_b, b, frees) with a kernel runs
+    ``kernel(read_a(registers[a]), read_b(registers[b]))``; without one it
+    is an einsum step, in the interleaved form, of one operand (read_b and
+    b are its sublists) or, when read_a is None, of several.  ``np.einsum``
+    is looked up when a step runs, so a program holds no reference to it.
+    Each instruction drops its ``frees`` once it has run, so at most the
     operands and the intermediates a later monomial reads are alive at a
-    time.
+    time.  A monomial's values are checked as one: only when one is not
+    finite does ``_finite`` run, to raise for the first.
     """
     registers = list(operands)
+    append = registers.append
     for mon, code, out in program:
-        for run, args, inputs, frees in code:
-            registers.append(run(args, *[registers[i] for i in inputs]))
+        for kernel, read_a, a, read_b, b, frees in code:
+            if kernel is not None:
+                append(kernel(read_a(registers[a]), read_b(registers[b])))
+            elif read_a is not None:
+                append(np.einsum(read_a(registers[a]), read_b, b))
+            else:
+                operands = [x for r, (read, sub) in zip(a, read_b) for x in (read(registers[r]), sub)]
+                append(np.einsum(*operands, b))
             for i in frees:
                 registers[i] = None
-        yield mon, tuple(map(_finite, registers[out].reshape(-1).tolist()))
+        values = tuple(registers[out].reshape(-1).tolist())
+        if not all(map(isfinite, values)):
+            for value in values:
+                _finite(value)
+        yield mon, values
+
+
+def _boxes(matrices, sizes):
+    """Each matrix of ``matrices``, (D, D) or a (T, D, D) stack, in box
+    layout: (T, *box), box the row indices, then the column indices, of the
+    subsystems in ``sizes`` of dimension above 1."""
+    shape = tuple(d for d in sizes if d > 1) * 2
+    return [M.reshape(-1, *shape) for M in matrices]
 
 
 def _run(mon: TraceMonomial, sizes, matrices) -> tuple[complex, ...]:
     """The values of ``mon`` on T tuples at once: its plan is a program of
     one segment, run by ``_execute`` with the monomial's boxes as operands."""
-    [(_, values)] = _execute(((mon, _plan(mon.perms, sizes), -1),), [matrices[x] for x in mon.labels])
+    boxes = _boxes([matrices[x] for x in mon.labels], sizes)
+    [(_, values)] = _execute(((mon, _plan(mon.perms, sizes), -1),), boxes)
     return values
 
 

@@ -50,11 +50,30 @@ def interleaved(mon, ops):
     return args + [[]]
 
 
+def step_kind(ins):
+    """"matmul", "multiply" or "einsum": what an instruction
+    (kernel, read_a, a, read_b, b, frees) of a step program runs."""
+    kernel = ins[0]
+    if kernel is None:
+        return "einsum"
+    return "matmul" if kernel is np.matmul else "multiply"
+
+
+def step_inputs(ins):
+    """The registers an instruction of a step program reads: a pairwise
+    step reads a and b, an einsum step a, which with read_a None lists
+    several."""
+    kernel, read_a, a, _, b, _ = ins
+    if kernel is not None:
+        return (a, b)
+    return (a,) if read_a is not None else a
+
+
 def is_box_trace(steps, k):
     """Whether step k of a ``_plan`` program traces a box for a pairwise
     step after it: it reads one register, which otherwise only the one step
     of a one-box network does."""
-    return len(steps[k][2]) == 1 and k + 1 < len(steps)
+    return len(step_inputs(steps[k])) == 1 and k + 1 < len(steps)
 
 
 def count_connectivity_tests(monkeypatch):

@@ -227,6 +227,14 @@ class TestConjugateLocal:
             with pytest.raises(ValueError, match="factor 0 is singular"):
                 conjugate_local(np.eye(4), [g, np.eye(2)], Dims((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_factor(self, bad):
+        # a NaN factor used to fail the SVD, and an inf one read as singular
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = bad
+        with pytest.raises(ValueError, match="factor 1 has non-finite entries"):
+            conjugate_local(np.eye(4), [np.eye(2), g], Dims((2, 2)))
+
     def test_scaled_factors_are_not_singular(self):
         # conjugating by c g is conjugating by g, though det(c g) = c^d det(g)
         # falls far below any fixed tolerance

@@ -27,9 +27,8 @@ from traceinv import (
 )
 
 import traceinv.equivalence
-import traceinv.evaluate
 from traceinv.equivalence import _invariants, _program
-from traceinv.evaluate import _einsum_step, _multiply_step, _plan, _run
+from traceinv.evaluate import _plan, _run
 from traceinv.perms import canonical_count
 
 from helpers import (
@@ -43,6 +42,8 @@ from helpers import (
     is_box_trace,
     random_ops,
     scaled_pair,
+    step_inputs,
+    step_kind,
 )
 
 
@@ -350,6 +351,47 @@ BATCH_CASES = [
 LAYOUT_CASES = [((8, 8), 1, 3), ((2,) * 6, 1, 3), ((1, 1), 2, 4), ((2, 1, 3), 2, 3)]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteValues:
+    """A walk checks each monomial's values together and names the first
+    that is not finite, in the order of the stacked tuples."""
+
+    def diagonal(self, *entries):
+        return OperatorTuple(Dims((2,)), tuple(np.diag(e).astype(complex) for e in entries))
+
+    def test_second_tuple_overflows(self):
+        # Tr(A^2) is 2 on the first tuple and 1e400 + 1 on the second
+        stream = _invariants((self.diagonal([1, 1]), self.diagonal([1e200, 1])), 2)
+        assert next(stream)[1] == (2, 1e200 + 1)
+        with pytest.raises(UnsupportedSizeError, match=r"value \(inf\+0j\) overflowed"):
+            next(stream)
+
+    def test_first_offender_in_stack_order(self):
+        # the second tuple's square overflows to inf, the third's to nan
+        mixed = OperatorTuple(Dims((2,)), (np.array([[1e308, 1e308], [-1e308, -1e308]], dtype=complex),))
+        stream = _invariants((self.diagonal([1, 1]), self.diagonal([1e200, 1]), mixed), 2)
+        next(stream)
+        with pytest.raises(UnsupportedSizeError, match=r"value \(inf\+0j\) overflowed"):
+            next(stream)
+
+    def test_infinite_imaginary_part(self):
+        # (1e200)(1e200 i) has real part 0 and imaginary part inf
+        ops = OperatorTuple(Dims((1,)), (np.array([[1e200]], dtype=complex), np.array([[1e200j]])))
+        mon = TraceMonomial(labels=(0, 1), perms=((1, 0),))
+        with pytest.raises(UnsupportedSizeError, match="value infj overflowed"):
+            eval_contract(mon, ops)
+
+    def test_witness_before_the_overflow(self):
+        # Tr(A) separates first; Tr(B), next in the same degree, overflows
+        a = self.diagonal([1, 1], [1e308, 1e308])
+        b = self.diagonal([2, 1], [1e308, 1e308])
+        verdict = decide_lu_equiv(a, b, max_degree=2)
+        assert verdict.separated and verdict.values == (2, 3)
+        assert verdict.witness == TraceMonomial(labels=(0,), perms=((0,),))
+        with pytest.raises(UnsupportedSizeError, match=r"value \(inf\+0j\) overflowed"):
+            fingerprint(a, 1)
+
+
 def walk_listing(dims, m, max_degree):
     return enumerate_monomials(
         dims.n, m, max_degree, girth_cap=generator_girth_cap(dims), connected_only=True
@@ -363,11 +405,12 @@ def einsum_bits(mon, ops):
 
 
 def box_traces(mon, sizes):
-    """(args, label) of each box trace in the plan of ``mon``."""
+    """(pattern, label) of each box trace in the plan of ``mon``: the
+    pattern is the trace's reader and sublists."""
     steps = _plan(mon.perms, sizes)
     return [
-        (args, mon.labels[inputs[0]])
-        for k, (_, args, inputs, _) in enumerate(steps)
+        ((read, sub, out), mon.labels[box])
+        for k, (_, read, box, sub, out, _) in enumerate(steps)
         if is_box_trace(steps, k)
     ]
 
@@ -402,10 +445,10 @@ class TestBatchedInvariants:
             for mon in enumerate_monomials(dims.n, m, max_degree):
                 values = _run(mon, dims.sizes, stacks)
                 assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
-                steps.update(run for run, *_ in _plan(mon.perms, dims.sizes))
+                steps.update(map(step_kind, _plan(mon.perms, dims.sizes)))
                 if box_traces(mon, dims.sizes):
                     steps.add("trace")
-        assert {_multiply_step, "trace"} <= steps
+        assert {"multiply", "trace"} <= steps
 
     @pytest.mark.parametrize("dims, m, max_degree", [c for c in BATCH_CASES if c[1] == 2])
     def test_labels_share_trace_patterns(self, dims, m, max_degree):
@@ -429,10 +472,10 @@ class TestBatchedInvariants:
         monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args) or real(*args))
         list(_invariants(tuples, max_degree))
         instructions = [
-            run for ell in range(1, max_degree + 1)
-            for _, code, _ in _program(m, ell, dims.sizes) for run, *_ in code
+            step_kind(ins) for ell in range(1, max_degree + 1)
+            for _, code, _ in _program(m, ell, dims.sizes) for ins in code
         ]
-        assert len(calls) == instructions.count(_einsum_step)
+        assert len(calls) == instructions.count("einsum")
         assert len(calls) < traced_boxes
 
     @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 1, 3)], ids=lambda s: "x".join(map(str, s)))
@@ -442,9 +485,10 @@ class TestBatchedInvariants:
         dims = Dims(sizes)
         ops = random_ops(np.random.default_rng(82), dims, 1)
         mon = TraceMonomial(labels=(0,), perms=((0,),) * dims.n)
-        [(run, (_, subscripts), *_)] = _plan(mon.perms, sizes)
-        assert run is _einsum_step
-        assert len(set(subscripts[0])) < len(subscripts[0])
+        [ins] = _plan(mon.perms, sizes)
+        assert step_kind(ins) == "einsum"
+        sub = ins[3]
+        assert len(set(sub)) < len(sub)
         assert bits(eval_contract(mon, ops)) == einsum_bits(mon, ops)
 
 
@@ -544,16 +588,15 @@ class TestWalkCache:
 
 @pytest.fixture
 def step_calls(monkeypatch):
-    """A list that grows by one per step instruction a program runs.  The
-    three step functions are wrapped before any plan is made, so every plan
-    and program built in the test holds the wrappers; both caches are
-    cleared before and after."""
+    """A list that grows by the kind of each step instruction a program
+    runs.  numpy's three step kernels are wrapped before any plan is made,
+    so every plan and program built in the test holds the matmul and
+    multiply wrappers, and each einsum step calls its wrapper when it runs;
+    both caches are cleared before and after."""
     calls = []
-    for name in ("_matmul_step", "_multiply_step", "_einsum_step"):
-        real = getattr(traceinv.evaluate, name)
-        monkeypatch.setattr(
-            traceinv.evaluate, name, lambda args, *ops, real=real: calls.append(real) or real(args, *ops)
-        )
+    for kind in ("matmul", "multiply", "einsum"):
+        real = getattr(np, kind)
+        monkeypatch.setattr(np, kind, lambda *ops, kind=kind, real=real: calls.append(kind) or real(*ops))
     _plan.cache_clear()
     _program.cache_clear()
     yield calls
@@ -580,7 +623,7 @@ class TestProgram:
         for sizes, m, max_degree in BENCH_WALKS:
             walk(sizes, m, max_degree)
         assert len(step_calls) == 1443
-        assert sum(run.__name__ == "_matmul_step" for run in step_calls) == 1276
+        assert step_calls.count("matmul") == 1276
 
     @pytest.mark.parametrize("padded, plain", [((1, 1, 1, 2), (2,)), ((1, 2, 2), (2, 2))],
                              ids=["1,1,1,2", "1,2,2"])
@@ -613,7 +656,7 @@ class TestProgram:
         for ell in range(1, max_degree + 1):
             program = _program(m, ell, sizes)
             code = [ins for _, segment, _ in program for ins in segment]
-            last = {r: k for k, (*_, inputs, _) in enumerate(code) for r in inputs}
+            last = {r: k for k, ins in enumerate(code) for r in step_inputs(ins)}
             dropped = [(r, k) for k, (*_, frees) in enumerate(code) for r in frees]
             outs = {out for *_, out in program}
             assert sorted(dropped) == sorted((r, k) for r, k in last.items() if r not in outs)

@@ -90,8 +90,8 @@ MUTANTS = [
     (
         "contract_not_finite",
         "evaluate.py",
-        "yield mon, tuple(map(_finite, registers[out].reshape(-1).tolist()))",
-        "yield mon, tuple(registers[out].reshape(-1).tolist())",
+        "        if not all(map(isfinite, values)):\n",
+        "        if False:\n",
     ),
     # the batched walk: every side must reach the program, each on its own
     # batch row
@@ -115,8 +115,9 @@ MUTANTS = [
     ),
     # the per-walk cache and the step programs: a program served for the
     # wrong key, every box read from one register, a step merged with
-    # another that differs from it, a product read in a layout it was not
-    # stored in, or an intermediate kept alive past its last read
+    # another that reads its operands otherwise, a product read in a layout
+    # it was not stored in, a product read as if it were stored in its
+    # index layout, or an intermediate kept alive past its last read
     (
         "walk_key_drops_m",
         "equivalence.py",
@@ -132,14 +133,20 @@ MUTANTS = [
     (
         "program_key_drops_args",
         "evaluate.py",
-        "registers.setdefault((run, args, inputs), new)",
-        "registers.setdefault((run, inputs), new)",
+        "registers.setdefault((kernel, read_a, a, read_b, b), new)",
+        "registers.setdefault((kernel, a, b), new)",
     ),
     (
         "product_layout_ignored",
         "evaluate.py",
-        "    ), tuple(a_keep + b_keep)\n",
-        "    ), out\n",
+        "], a_keep + b_keep, (rows, cols)",
+        "], out, (rows, cols)",
+    ),
+    (
+        "reader_skips_stored_reshape",
+        "evaluate.py",
+        "_view(None if have == dims else (-1, *dims), axes,",
+        "_view(None, axes,",
     ),
     (
         "program_never_frees",
