@@ -146,7 +146,7 @@ def _walk(m, max_degree, caps, sizes, stacks):
         program = _program(m, ell, sizes)
         if program is None:
             for mon in _generate(m, ell, caps, connected_only=True, canonical=True):
-                yield mon, _run(mon, sizes, stacks)
+                yield mon, _run(mon, sizes, [stacks[x] for x in mon.labels])
         else:
             yield from _execute(program, stacks)
 

@@ -154,7 +154,7 @@ def _plan(perms, sizes):
     D = prod(sizes)
     check_size("contraction engine boxes", ell, MAX_BOXES)
     check_size("contraction engine total dimension", D, CONTRACT_MAX_DIM)
-    shape = tuple(sizes[i] for i in rows) * 2
+    shape = _box_shape(sizes)
     inv = [invert_perm(perms[i]) for i in rows]
     subs = [
         tuple(k * ell + inv[k][j] for k in range(n)) + tuple(k * ell + j for k in range(n))
@@ -188,6 +188,12 @@ def _plan(perms, sizes):
         steps.append((kernel, *reads, (reads[1], reads[3])))
         live.append((ell + len(steps) - 1, lay, stored))
     return tuple(steps)
+
+
+def _box_shape(sizes):
+    """The shape of a box in box layout: its row indices, then its column
+    indices, over the subsystems in ``sizes`` of dimension above 1."""
+    return tuple(d for d in sizes if d > 1) * 2
 
 
 def _dims(indices, dim):
@@ -378,16 +384,15 @@ def _execute(program, operands):
 
 def _boxes(matrices, sizes):
     """Each matrix of ``matrices``, (D, D) or a (T, D, D) stack, in box
-    layout: (T, *box), box the row indices, then the column indices, of the
-    subsystems in ``sizes`` of dimension above 1."""
-    shape = tuple(d for d in sizes if d > 1) * 2
+    layout: (T, *box), with box the ``_box_shape`` of ``sizes``."""
+    shape = _box_shape(sizes)
     return [M.reshape(-1, *shape) for M in matrices]
 
 
-def _run(mon: TraceMonomial, sizes, matrices) -> tuple[complex, ...]:
-    """The values of ``mon`` on T tuples at once: its plan is a program of
-    one segment, run by ``_execute`` with the monomial's boxes as operands."""
-    boxes = _boxes([matrices[x] for x in mon.labels], sizes)
+def _run(mon: TraceMonomial, sizes, boxes) -> tuple[complex, ...]:
+    """The values of ``mon`` on T tuples at once, ``boxes`` holding box j's
+    (T, *box) stack at j (``_boxes``): its plan is a program of one
+    segment, run by ``_execute`` with the boxes as operands."""
     [(_, values)] = _execute(((mon, _plan(mon.perms, sizes), -1),), boxes)
     return values
 
@@ -414,5 +419,6 @@ def eval_contract(mon: TraceMonomial, ops: OperatorTuple) -> complex:
     to rounding.
     """
     _check_compat(mon, ops.dims, ops.m)
-    (value,) = _run(mon, ops.dims.sizes, ops.matrices)
+    sizes = ops.dims.sizes
+    (value,) = _run(mon, sizes, _boxes([ops.matrices[x] for x in mon.labels], sizes))
     return value

@@ -28,7 +28,7 @@ from .core import (
     random_local_invertible,
 )
 from .errors import UnsupportedSizeError, check_count
-from .evaluate import _check_compat, _plan, _run
+from .evaluate import _boxes, _check_compat, _plan, _run
 from .perms import TraceMonomial
 
 #: The 2x2 symplectic form; g^T T g = det(g) T for any 2x2 g.
@@ -96,7 +96,8 @@ def eval_slocc(mon: TraceMonomial, states) -> complex:
     sizes = (2,) * n
     _check_compat(mon, Dims(sizes), len(states))
     _plan(mon.perms, sizes)  # runs the size checks; _run then hits
-    (value,) = _run(mon, sizes, [embed_state(v) for v in states])
+    embedded = [embed_state(v) for v in states]
+    (value,) = _run(mon, sizes, _boxes([embedded[x] for x in mon.labels], sizes))
     return value
 
 

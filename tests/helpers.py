@@ -5,6 +5,7 @@ from numpy.lib import NumpyVersion
 
 import traceinv.perms
 from traceinv import Dims, OperatorTuple, TraceMonomial, random_density
+from traceinv.evaluate import _inputs
 
 
 def crandn(rng, *shape):
@@ -60,13 +61,8 @@ def step_kind(ins):
 
 
 def step_inputs(ins):
-    """The registers an instruction of a step program reads: a pairwise
-    step reads a and b, an einsum step a, which with read_a None lists
-    several."""
-    kernel, read_a, a, _, b, _ = ins
-    if kernel is not None:
-        return (a, b)
-    return (a,) if read_a is not None else a
+    """The registers an instruction of a step program reads."""
+    return _inputs(*ins[:5])
 
 
 def is_box_trace(steps, k):

@@ -28,7 +28,7 @@ from traceinv import (
 
 import traceinv.equivalence
 from traceinv.equivalence import _invariants, _program
-from traceinv.evaluate import _plan, _run
+from traceinv.evaluate import _boxes, _plan, _run
 from traceinv.perms import canonical_count
 
 from helpers import (
@@ -441,9 +441,9 @@ class TestBatchedInvariants:
                     assert not audit or want == [einsum_bits(mon, t) for t in tuples]
             if not audit:
                 continue
-            stacks = [np.stack([t.matrices[k] for t in tuples]) for k in range(m)]
+            stacks = _boxes([np.stack([t.matrices[k] for t in tuples]) for k in range(m)], dims.sizes)
             for mon in enumerate_monomials(dims.n, m, max_degree):
-                values = _run(mon, dims.sizes, stacks)
+                values = _run(mon, dims.sizes, [stacks[x] for x in mon.labels])
                 assert [bits(v) for v in values] == [bits(eval_contract(mon, t)) for t in tuples]
                 steps.update(map(step_kind, _plan(mon.perms, dims.sizes)))
                 if box_traces(mon, dims.sizes):
@@ -678,8 +678,8 @@ def worst_span_residual(sizes, m, max_degree, cap, samples=200):
     kept = [mon for mon in mons if all(g <= c for g, c in zip(girth_of(mon), cap))]
     rng = np.random.default_rng(0)
     D = int(np.prod(sizes))
-    stacks = [crandn(rng, samples, D, D) / np.sqrt(2 * D) for _ in range(m)]
-    value = {mon: np.array(_run(mon, sizes, stacks)) for mon in mons}
+    stacks = _boxes([crandn(rng, samples, D, D) / np.sqrt(2 * D) for _ in range(m)], sizes)
+    value = {mon: np.array(_run(mon, sizes, [stacks[x] for x in mon.labels])) for mon in mons}
 
     def products(total, start=0):
         # index tuples i_1 <= i_2 <= ... into ``kept`` whose degrees sum to total

@@ -17,7 +17,7 @@ Then one line gives the median and quartiles of each side's wall time, the
 ratio of the medians, the runs the change won and the runs the side that ran
 first won (as ``tools/pairs.py`` reports the benchmark).  The times are
 "unresolved" when the parent's spread (its interquartile range over its
-median) exceeds ``--bound``.  Exits 1 if any run's exit code or standard
+median) exceeds ``BOUND``.  Exits 1 if any run's exit code or standard
 output differs from the parent's first run, else 0.
 """
 
@@ -35,6 +35,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from pairs import _format, summarize  # noqa: E402
 
 CODE = "import sys; from traceinv.cli import main; sys.exit(main())"
+# a one-shot command may be at most 3% slower than the parent's, so a
+# parent whose own spread exceeds 3% cannot resolve a ratio
+BOUND = 0.03
 
 
 def summary(parent, change, change_first, bound):
@@ -63,8 +66,6 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--runs", type=int, default=7)
-    parser.add_argument("--bound", type=float, default=0.03,
-                        help="the parent spread above which the times are unresolved")
     argv = sys.argv[1:] if argv is None else list(argv)
     if "--" not in argv or argv.index("--") == len(argv) - 1:
         parser.error("give the traceinv arguments after --")
@@ -94,7 +95,7 @@ def main(argv=None):
                     print(f"run {i} {side}: exit code or output differs from the parent's first run",
                           file=sys.stderr)
                 print(f"run {i} {side:<6} wall_s={seconds:.6g}", flush=True)
-    row = summary(times["parent"], times["change"], change_first, args.bound)
+    row = summary(times["parent"], times["change"], change_first, BOUND)
     _format("one-shot", [row], args.runs)
     return 0 if same else 1
 
